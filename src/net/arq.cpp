@@ -42,6 +42,20 @@ void append_filler(BitWriter& w, std::uint64_t seed, std::uint64_t bits) {
 
 }  // namespace
 
+std::chrono::microseconds RetryPolicy::timeout_for(std::uint32_t attempt) const noexcept {
+  const double cap = static_cast<double>(max_timeout.count());
+  double us = static_cast<double>(base_timeout.count());
+  // Exit once the value saturates (at the cap growing, below 1us shrinking,
+  // fixed at backoff == 1): huge attempt counts neither overflow the double
+  // nor loop 2^32 times.
+  for (std::uint32_t i = 0; i < attempt; ++i) {
+    if (backoff == 1.0 || (backoff > 1.0 && us >= cap) || (backoff < 1.0 && us < 1.0)) break;
+    us *= backoff;
+  }
+  const double capped = std::min(us, cap);
+  return std::chrono::microseconds(static_cast<std::int64_t>(capped));
+}
+
 void ArqPolicy::validate() const {
   if (window == 0) {
     throw NetError(NetErrorKind::kSetup, "ArqPolicy: window must be positive");

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -9,10 +10,11 @@
 #include "net/frame.h"
 
 /// \file arq.h
-/// Sliding-window ARQ: the policy knobs, sequence-number arithmetic, the
-/// cumulative + selective acknowledgement codec, the coalesced-batch frame
-/// codec, and the pure per-link sender/receiver window state machines the
-/// shared servicer (net/servicer.h) drives.
+/// Sliding-window ARQ: the policy knobs (window and retry), the per-link
+/// sender/receiver tallies, sequence-number arithmetic, the cumulative +
+/// selective acknowledgement codec, the coalesced-batch frame codec, and
+/// the pure per-link sender/receiver window state machines the shared
+/// servicer (net/servicer.h) drives.
 ///
 /// Everything here is single-threaded and I/O-free — the state machines
 /// consume frames and emit verdicts, which makes the wraparound / ack-
@@ -51,6 +53,44 @@
 /// shard count.
 
 namespace tft::net {
+
+struct RetryPolicy {
+  std::chrono::microseconds base_timeout{50'000};
+  double backoff = 2.0;
+  std::uint32_t max_retries = 8;  ///< total attempts = max_retries + 1
+  std::chrono::microseconds max_timeout{1'000'000};
+
+  /// Crash-fault handling (net/recovery.h): a peer *declared* down is not a
+  /// lossy link, so when true the sender stops retransmitting to it
+  /// immediately — no exponential-backoff budget is burned — and if the peer
+  /// has not resumed within `down_timeout` the session fails with a typed
+  /// NetError(kPlayerDown) after ONE bounded wait. When false, a dead peer
+  /// degrades to the legacy behavior: retries escalate until kTimeout.
+  bool fail_fast_on_down = true;
+  std::chrono::microseconds down_timeout{200'000};
+
+  [[nodiscard]] std::chrono::microseconds timeout_for(std::uint32_t attempt) const noexcept;
+};
+
+struct SenderStats {
+  std::uint64_t frames_sent = 0;       ///< distinct frames acknowledged
+  std::uint64_t wire_bytes = 0;        ///< bytes written incl. retransmits/dups
+  std::uint64_t retransmissions = 0;   ///< extra attempts beyond the first
+  std::uint64_t duplicates_sent = 0;   ///< injected duplicate writes
+  std::uint64_t acks_received = 0;
+};
+
+struct ReceiverStats {
+  std::uint64_t frames = 0;        ///< unique data/relay/batch frames accepted
+  std::uint64_t messages = 0;      ///< charged messages delivered (>= frames with coalescing)
+  std::uint64_t payload_bits = 0;  ///< sum of accepted frames' charged bits
+  std::uint64_t duplicates = 0;    ///< retransmits discarded by seq dedup
+  std::uint64_t corrupt = 0;       ///< CRC/codec/filler failures discarded
+  std::uint64_t bytes_read = 0;
+  std::uint64_t player_down_frames = 0;  ///< out-of-band kPlayerDown notices seen
+  std::uint64_t resume_frames = 0;       ///< out-of-band kResume notices seen
+  std::vector<std::uint64_t> phase_bits;  ///< per-phase accepted bits
+};
 
 struct ArqPolicy {
   std::uint32_t window = 32;        ///< max unacked frames in flight per link

@@ -1,11 +1,9 @@
 #include "net/executed.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "net/error.h"
 #include "net/servicer.h"
-#include "util/bits.h"
 
 namespace tft::net {
 
@@ -22,8 +20,6 @@ RelayReport relay_messages(std::size_t k, std::uint64_t universe_n,
                    "virtual clock needs the in-proc transport (kernel socket buffers "
                    "are invisible to the logical clock)");
   }
-  const std::uint32_t coord = static_cast<std::uint32_t>(k);
-  const std::uint64_t header_bits = vertex_bits(static_cast<std::uint64_t>(k));
   auto transport = make_transport(cfg);
 
   SharedServicer::Options opts;
@@ -34,75 +30,30 @@ RelayReport relay_messages(std::size_t k, std::uint64_t universe_n,
   opts.timed_recheck = cfg.transport == TransportKind::kSocket;
   SharedServicer servicer(opts);
 
-  std::vector<Link> links;
-  links.reserve(2 * k);
-  for (std::size_t j = 0; j < 2 * k; ++j) links.push_back(transport->make_link());
-
-  // The coordinator actor, run inline on the servicer thread: decode the
-  // recipient id out of each relay frame and seal the forwarded payload
-  // onto the matching downstream lane — a real execution of the Section 2
-  // simulation. Relay lanes keep one message per frame (coalesce=false) so
-  // the overhead measurement stays per-message.
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::uint32_t pj = static_cast<std::uint32_t>(j);
-    servicer.add_link(&links[j], /*link_id=*/pj, /*src=*/pj, /*dst=*/coord,
-                      /*coalesce=*/false, [&servicer, k, header_bits](const Frame& fr) {
-                        const std::size_t to = decode_relay_recipient(fr, k);
-                        servicer.enqueue_from_hook(k + to, fr.header.phase,
-                                                   fr.header.payload_bits - header_bits);
-                      });
-  }
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::uint32_t pj = static_cast<std::uint32_t>(j);
-    servicer.add_link(&links[k + j], /*link_id=*/coord + 1 + pj, /*src=*/coord, /*dst=*/pj,
-                      /*coalesce=*/false);
-  }
+  // One session with the reserved wire id 0, so relay lanes keep the v1
+  // header. The servicer plays the coordinator: it decodes the recipient id
+  // out of each relay frame and forwards the payload onto the matching down
+  // link — a real execution of the Section 2 simulation.
+  SharedServicer::SessionOptions so;
+  so.num_players = k;
+  const std::size_t session = servicer.open_session(*transport, so);
   servicer.start();
 
   MessagePassingSimulator sim(k, universe_n);
-  try {
-    for (const MpMessage& msg : messages) {
-      sim.deliver(msg);  // validates indices; throws on self/out-of-range
-      servicer.enqueue_relay(msg.from, k, msg.to, msg.bits);
-    }
-  } catch (...) {
-    servicer.finish();
-    throw;
+  for (const MpMessage& msg : messages) {
+    sim.deliver(msg);  // validates indices; throws on self/out-of-range
+    servicer.session_relay(session, msg.from, msg.to, msg.bits);
   }
-  servicer.finish();
 
   RelayReport report;
   report.mp_bits = sim.mp_bits();
   report.simulated_bits = sim.coordinator_bits();
-
-  WireStats& w = report.wire;
-  w.up_bits.resize(k);
-  w.down_bits.resize(k);
-  w.up_msgs.resize(k);
-  w.down_msgs.resize(k);
-  const auto fold = [&](std::size_t index, std::uint64_t& bits_slot, std::uint64_t& msgs_slot) {
-    const SharedServicer::LinkStats& st = servicer.stats(index);
-    const ReceiverStats& r = st.receiver;
-    const SenderStats& s = st.sender;
-    bits_slot += r.payload_bits;
-    msgs_slot += r.messages;
-    if (w.phase_bits.size() < r.phase_bits.size()) w.phase_bits.resize(r.phase_bits.size());
-    for (std::size_t ph = 0; ph < r.phase_bits.size(); ++ph) w.phase_bits[ph] += r.phase_bits[ph];
-    w.frames_delivered += r.frames;
-    w.wire_bytes += s.wire_bytes;
-    w.retransmissions += s.retransmissions;
-    w.duplicates += r.duplicates + s.duplicates_sent;
-    w.corrupt_frames += r.corrupt;
-    w.acks += s.acks_received;
-  };
-  for (std::size_t j = 0; j < k; ++j) {
-    fold(j, w.up_bits[j], w.up_msgs[j]);
-    fold(k + j, w.down_bits[j], w.down_msgs[j]);
-  }
-  w.virtual_time_us = servicer.virtual_time_us();
+  report.wire = servicer.close_session(session);
+  servicer.finish();
   servicer.rethrow_error();
+  servicer.rethrow_session_error(session);
 
-  report.measured_bits = w.payload_bits();
+  report.measured_bits = report.wire.payload_bits();
   report.measured_overhead =
       report.mp_bits > 0
           ? static_cast<double>(report.measured_bits) / static_cast<double>(report.mp_bits)

@@ -216,13 +216,15 @@ bool verify_filler_payload(const Frame& f) {
 }
 
 Frame make_relay_frame(std::uint32_t src, std::uint32_t seq, std::size_t k,
-                       std::size_t recipient, std::uint64_t message_bits) {
+                       std::size_t recipient, std::uint64_t message_bits,
+                       std::uint32_t session) {
   Frame f;
   f.header.type = FrameType::kRelay;
   f.header.src = src;
   f.header.dst = static_cast<std::uint32_t>(k);  // relays always go to the coordinator
   f.header.seq = seq;
   f.header.payload_bits = message_bits + vertex_bits(static_cast<std::uint64_t>(k));
+  f.header.session = session;
   BitWriter w;
   w.put_bits(recipient, vertex_bits(static_cast<std::uint64_t>(k)));
   append_filler_bits(w, filler_seed(f.header), message_bits);

@@ -104,9 +104,11 @@ void serialize_frame_into(const Frame& f, std::vector<std::uint8_t>& out);
 /// Build / decode a message-passing relay frame: the payload is the
 /// recipient id in exactly vertex_bits(k) fixed-width bits — the header
 /// the Section 2 simulation charges — followed by `message_bits` of filler.
-/// `payload_bits` is therefore message_bits + vertex_bits(k).
+/// `payload_bits` is therefore message_bits + vertex_bits(k). A non-zero
+/// `session` stamps the header and folds into the filler, as for kData.
 [[nodiscard]] Frame make_relay_frame(std::uint32_t src, std::uint32_t seq, std::size_t k,
-                                     std::size_t recipient, std::uint64_t message_bits);
+                                     std::size_t recipient, std::uint64_t message_bits,
+                                     std::uint32_t session = 0);
 [[nodiscard]] std::size_t decode_relay_recipient(const Frame& f, std::size_t k);
 
 /// Incremental parser over an arbitrary chunking of the byte stream.

@@ -103,7 +103,6 @@ NetSession::NetSession(std::size_t num_players, const NetConfig& cfg) : k_(num_p
   opts.faults = cfg.faults;
   opts.virtual_clock = cfg.virtual_clock;
   opts.timed_recheck = cfg.transport == TransportKind::kSocket;
-  opts.crash_tolerance = cfg.crash_tolerance;
   opts.num_shards = cfg.num_shards;
   servicer_ = std::make_unique<SharedServicer>(opts);
 
@@ -141,11 +140,10 @@ WireStats NetSession::finish() {
   if (finished_) return result_;
   finished_ = true;
 
-  // Stop the servicer before folding so every counter is final, then fold
-  // before rethrow so a failed run still reports what crossed the wire
+  // Fold before rethrow so a failed run still reports what crossed the wire
   // (matching the legacy engine's behavior).
-  servicer_->finish();
   result_ = servicer_->close_session(sid_);
+  servicer_->finish();
   servicer_->rethrow_error();
   servicer_->rethrow_session_error(sid_);
   return result_;

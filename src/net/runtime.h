@@ -13,7 +13,6 @@
 #include "comm/transcript.h"
 #include "net/arq.h"
 #include "net/checkpoint.h"
-#include "net/reliable.h"
 #include "net/servicer.h"
 #include "net/session.h"
 #include "net/transport.h"

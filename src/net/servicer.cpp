@@ -40,18 +40,12 @@ inline void cpu_pause() noexcept {
 /// the receiving state machine with its ack out-bytes. All of it guarded
 /// by the owning shard's mutex.
 struct SharedServicer::LinkState {
-  static constexpr std::size_t kNoSession = static_cast<std::size_t>(-1);
-
-  LinkState(Link* l, std::uint32_t id, std::uint32_t s, std::uint32_t d, bool co,
-            std::function<void(const Frame&)> hook, const Options& opts,
-            const FaultPlan& faults, std::uint32_t sess_id, std::size_t sess_index,
-            bool log)
-      : link(l),
+  LinkState(Link l, std::uint32_t id, std::uint32_t s, std::uint32_t d, const Options& opts,
+            const FaultPlan& faults, std::uint32_t sess_id, std::size_t sess_index, bool log)
+      : link(std::move(l)),
         link_id(id),
         src(s),
         dst(d),
-        coalesce(co),
-        deliver(std::move(hook)),
         injector(faults, id, sess_id),
         session_id(sess_id),
         session(sess_index),
@@ -59,16 +53,13 @@ struct SharedServicer::LinkState {
         window(opts.arq),
         rcv(opts.arq) {}
 
-  Link* link;
+  Link link;  ///< minted by open_session; closed at close_session
   std::uint32_t link_id;
   std::uint32_t src;
   std::uint32_t dst;
-  bool coalesce;
-  std::function<void(const Frame&)> deliver;
   FaultInjector injector;
-  Link owned;  ///< session links: the servicer owns the transport link
   std::uint32_t session_id;  ///< wire session id stamped on every frame
-  std::size_t session;       ///< shard-local session index, or kNoSession (legacy links)
+  std::size_t session;       ///< shard-local session index
   bool log_charges;          ///< append to charge_log (crash tolerance)
   /// Cleared when the owning session closes or fails: an inactive link
   /// counts as drained, is skipped by the sweep, and holds no deadlines.
@@ -84,12 +75,12 @@ struct SharedServicer::LinkState {
   /// owning session's depth array so lock-free charges can respect
   /// pending_cap (approximately: entries still in the ring are not
   /// counted, so the true bound is pending_cap + ring capacity). Null on
-  /// single-shard servicers and legacy links.
+  /// single-shard servicers.
   std::atomic<std::uint32_t>* depth_slot = nullptr;
 
   // Sender half.
   ArqSenderWindow window;
-  std::vector<std::uint8_t> out_data;  ///< bytes pending on link->data
+  std::vector<std::uint8_t> out_data;  ///< bytes pending on link.data
   std::size_t out_data_pos = 0;
   std::vector<std::uint8_t> wire_scratch;  ///< pooled serialization buffer
   FrameParser ack_parser;
@@ -98,16 +89,15 @@ struct SharedServicer::LinkState {
   // Receiver half.
   ArqReceiverWindow rcv;
   FrameParser data_parser;
-  std::vector<std::uint8_t> out_ack;  ///< bytes pending on link->ack
+  std::vector<std::uint8_t> out_ack;  ///< bytes pending on link.ack
   std::size_t out_ack_pos = 0;
   ReceiverStats rstats;
   std::vector<ChargeRec> batch_scratch;
-  LinkStats folded;  ///< snapshot taken at finish()
 
-  // Crash tolerance (Options::crash_tolerance). `barrier` + `charge_log`
-  // are the recovery pair: the lane state at the last flush and the charges
-  // sealed since — replaying the log from the barrier regenerates the frame
-  // stream bit for bit.
+  // Crash tolerance (SessionOptions::crash_tolerance). `barrier` +
+  // `charge_log` are the recovery pair: the lane state at the last flush and
+  // the charges sealed since — replaying the log from the barrier
+  // regenerates the frame stream bit for bit.
   LinkCheckpoint barrier;
   std::vector<ChargeRec> charge_log;
   bool src_down = false;   ///< this link's sender died (a dead player's up link)
@@ -183,7 +173,6 @@ struct SharedServicer::Shard {
   int live_drivers = 0;
   std::optional<NetErrorKind> error_kind;
   std::string error_what;
-  std::uint64_t replayed = 0;
   std::uint64_t vnow_us = 0;
 
   /// Link table. Slots are stable for the servicer's lifetime (link indices
@@ -269,20 +258,6 @@ std::size_t SharedServicer::shard_for(std::uint32_t session_id,
   return session_id % num_shards_;
 }
 
-std::size_t SharedServicer::add_link(Link* link, std::uint32_t link_id, std::uint32_t src,
-                                     std::uint32_t dst, bool coalesce,
-                                     std::function<void(const Frame&)> deliver) {
-  if (started_) {
-    throw NetError(NetErrorKind::kSetup, "add_link after start");
-  }
-  Shard& sh = *shards_[0];
-  sh.links.push_back(std::make_unique<LinkState>(
-      link, link_id, src, dst, coalesce && opts_.arq.coalesce, std::move(deliver), opts_,
-      opts_.faults, /*sess_id=*/0, LinkState::kNoSession,
-      /*log=*/opts_.crash_tolerance));
-  return sh.links.size() - 1;
-}
-
 std::size_t SharedServicer::open_session(Transport& transport, const SessionOptions& so) {
   if (so.num_players == 0) {
     throw NetError(NetErrorKind::kSetup, "open_session requires at least one player");
@@ -351,12 +326,9 @@ std::size_t SharedServicer::open_session(Transport& transport, const SessionOpti
     const bool up = j < so.num_players;
     const std::uint32_t pj = static_cast<std::uint32_t>(up ? j : j - so.num_players);
     auto ls = std::make_unique<LinkState>(
-        nullptr, /*link_id=*/up ? pj : coord + 1 + pj, /*src=*/up ? pj : coord,
-        /*dst=*/up ? coord : pj, /*coalesce=*/opts_.arq.coalesce, nullptr, opts_, ss.faults,
-        ss.id, local,
+        std::move(minted[j]), /*link_id=*/up ? pj : coord + 1 + pj, /*src=*/up ? pj : coord,
+        /*dst=*/up ? coord : pj, opts_, ss.faults, ss.id, local,
         /*log=*/ss.crash_tolerance);
-    ls->owned = std::move(minted[j]);
-    ls->link = &ls->owned;
     if (multi_shard_) ls->depth_slot = &rt.depth[j];
     if (grow) {
       sh.links.push_back(std::move(ls));
@@ -386,15 +358,6 @@ std::size_t SharedServicer::open_session(Transport& transport, const SessionOpti
   return local * num_shards_ + shard_idx;
 }
 
-std::size_t SharedServicer::num_sessions() const {
-  std::size_t n = 0;
-  for (const auto& shp : shards_) {
-    const std::lock_guard lock(shp->mu);
-    n += shp->sessions.size();
-  }
-  return n;
-}
-
 void SharedServicer::start() {
   if (started_) return;
   started_ = true;
@@ -409,11 +372,6 @@ std::uint64_t SharedServicer::now_us(const Shard& sh) const noexcept {
   if (opts_.virtual_clock) return sh.vnow_us;
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - epoch_).count());
-}
-
-std::uint64_t SharedServicer::virtual_time_us() const noexcept {
-  if (hub_ != nullptr) return hub_->now();
-  return shards_[0]->vnow_us;
 }
 
 std::size_t SharedServicer::num_links() const noexcept {
@@ -459,10 +417,6 @@ bool SharedServicer::anything_unacked(const Shard& sh) const noexcept {
   return false;
 }
 
-bool SharedServicer::ring_drained(const Shard& sh) const noexcept {
-  return !multi_shard_ || sh.charges.approx_empty();
-}
-
 // ---- sealing (driving thread or poller, under the shard mutex) --------------
 
 void SharedServicer::note_depth(LinkState& link) noexcept {
@@ -506,7 +460,7 @@ void SharedServicer::seal_open_batch(LinkState& link) {
 }
 
 void SharedServicer::seal_charge(LinkState& link, std::uint64_t phase, std::uint64_t bits) {
-  if (link.coalesce) {
+  if (opts_.arq.coalesce) {
     const bool fits = link.open_batch.empty() ||
                       (link.open_batch.size() < opts_.arq.max_batch_msgs &&
                        link.open_batch_bits + bits <= opts_.arq.max_batch_bits &&
@@ -525,13 +479,11 @@ void SharedServicer::seal_charge(LinkState& link, std::uint64_t phase, std::uint
 
 void SharedServicer::wait_for_space(Shard& sh, std::unique_lock<std::mutex>& lock,
                                     LinkState& link) {
-  // Backpressure: cap the sealed-but-unadmitted queue. A session-owned
-  // link's waits additionally break on *its own* session failing — another
-  // session's trouble never wakes (or wedges) this driver.
-  const auto dead = [&] {
-    return sh.error_kind.has_value() ||
-           (link.session != LinkState::kNoSession && sh.sessions[link.session].st.failed());
-  };
+  // Backpressure: cap the sealed-but-unadmitted queue. The wait also
+  // breaks on *its own* session failing — another session's trouble never
+  // wakes (or wedges) this driver.
+  const SessionState& ss = sh.sessions[link.session].st;
+  const auto dead = [&] { return sh.error_kind.has_value() || ss.failed(); };
   ++sh.driving_waiting;
   while (!dead() && link.queue.size() > opts_.arq.pending_cap) {
     sh.space_cv.wait_for(lock, std::chrono::seconds(1));
@@ -546,96 +498,7 @@ void SharedServicer::wait_for_space(Shard& sh, std::unique_lock<std::mutex>& loc
   --sh.driving_waiting;
   if (hub_ != nullptr) hub_->publish_active(sh.index);
   throw_if_error_locked(sh);
-  if (link.session != LinkState::kNoSession) {
-    throw_if_session_failed_locked(sh.sessions[link.session].st);
-  }
-}
-
-void SharedServicer::enqueue_charge(std::size_t link_index, std::uint64_t phase,
-                                    std::uint64_t bits) {
-  Shard& sh = *shards_[0];
-  std::unique_lock lock(sh.mu);
-  throw_if_error_locked(sh);
-  LinkState& link = *sh.links[link_index];
-  const std::size_t sealed_before = link.queue.size();
-  // The log, not the live queue, is recovery's source of truth: replaying
-  // it through seal_charge reproduces the coalescing decisions and hence
-  // the exact frame stream (which is a pure per-link function of the
-  // per-link charge sequence).
-  if (link.log_charges) link.charge_log.push_back({phase, bits});
-  seal_charge(link, phase, bits);
-  // Wake the servicer only when a frame was actually sealed: a charge that
-  // merely grew the open batch gives it nothing to do, and the enqueue path
-  // is the windowed pipeline's hot loop.
-  if (link.queue.size() != sealed_before) sh.work_cv.notify_one();
-  wait_for_space(sh, lock, link);
-}
-
-void SharedServicer::enqueue_relay(std::size_t link_index, std::size_t k, std::size_t recipient,
-                                   std::uint64_t message_bits) {
-  Shard& sh = *shards_[0];
-  std::unique_lock lock(sh.mu);
-  throw_if_error_locked(sh);
-  LinkState& link = *sh.links[link_index];
-  link.queue.push_back(
-      make_relay_frame(link.src, link.next_seq, k, recipient, message_bits));
-  link.next_seq = (link.next_seq + 1) % opts_.arq.seq_modulus;
-  sh.work_cv.notify_one();
-  wait_for_space(sh, lock, link);
-}
-
-void SharedServicer::enqueue_from_hook(std::size_t link_index, std::uint64_t phase,
-                                       std::uint64_t bits) {
-  // Already under the shard mutex on its poller thread; no cap, no waiting
-  // — the servicer must never block on itself. Deliver hooks only exist on
-  // legacy add_link links, which all live on shard 0.
-  seal_data_frame(*shards_[0]->links[link_index], phase, bits);
-}
-
-void SharedServicer::flush() {
-  for (auto& shp : shards_) flush_shard(*shp);
-}
-
-void SharedServicer::flush_shard(Shard& sh) {
-  std::unique_lock lock(sh.mu);
-  throw_if_error_locked(sh);
-  // Any charges still in the ring must seal before the barrier seals the
-  // open batches they would have joined.
-  ++sh.driving_waiting;
-  while (!sh.error_kind && !ring_drained(sh)) {
-    sh.work_cv.notify_one();
-    sh.space_cv.wait_for(lock, std::chrono::seconds(1));
-  }
-  --sh.driving_waiting;
-  throw_if_error_locked(sh);
-  for (auto& link : sh.links) {
-    if (link) seal_open_batch(*link);
-  }
-  sh.work_cv.notify_one();
-  ++sh.driving_waiting;
-  while (!sh.error_kind && !(ring_drained(sh) && all_drained(sh))) {
-    sh.work_cv.notify_one();
-    sh.space_cv.wait_for(lock, std::chrono::seconds(1));
-  }
-  --sh.driving_waiting;
-  if (hub_ != nullptr) hub_->publish_active(sh.index);
-  throw_if_error_locked(sh);
-  if (opts_.crash_tolerance) {
-    // The checkpoint instant: every queue, window and out-buffer is drained
-    // end to end, so each link's state is fully captured by this snapshot,
-    // and the charge logs restart empty.
-    for (auto& lp : sh.links) {
-      if (!lp) continue;
-      LinkState& link = *lp;
-      link.barrier.next_seq = link.next_seq;
-      link.barrier.next_expected = link.rcv.next_expected();
-      link.barrier.frames = link.rstats.frames;
-      link.barrier.messages = link.rstats.messages;
-      link.barrier.payload_bits = link.rstats.payload_bits;
-      link.barrier.phase_bits = link.rstats.phase_bits;
-      link.charge_log.clear();
-    }
-  }
+  throw_if_session_failed_locked(ss);
 }
 
 // ---- sessions (driving threads, one per session) ----------------------------
@@ -652,8 +515,16 @@ bool SharedServicer::session_drained_locked(const Shard& sh,
   return true;
 }
 
-void SharedServicer::fail_session_locked(Shard& sh, SessionRt& rt, NetErrorKind kind,
+void SharedServicer::release_driver_locked(Shard& sh, SessionState& ss) noexcept {
+  if (!ss.driver_released) {
+    ss.driver_released = true;
+    --sh.live_drivers;
+  }
+}
+
+void SharedServicer::fail_session_locked(Shard& sh, const LinkState& link, NetErrorKind kind,
                                          std::string what) noexcept {
+  SessionRt& rt = sh.sessions[link.session];
   SessionState& ss = rt.st;
   if (ss.failed()) return;
   ss.error_kind = kind;
@@ -665,20 +536,8 @@ void SharedServicer::fail_session_locked(Shard& sh, SessionRt& rt, NetErrorKind 
   for (std::size_t i = ss.link_base; i < ss.link_base + 2 * ss.k; ++i) {
     if (sh.links[i]) sh.links[i]->active = false;
   }
-  if (!ss.driver_released) {
-    ss.driver_released = true;
-    --sh.live_drivers;
-  }
+  release_driver_locked(sh, ss);
   sh.space_cv.notify_all();
-}
-
-void SharedServicer::link_failure(Shard& sh, LinkState& link, NetErrorKind kind,
-                                  std::string what) noexcept {
-  if (link.session != LinkState::kNoSession) {
-    fail_session_locked(sh, sh.sessions[link.session], kind, std::move(what));
-  } else {
-    record_error(sh, kind, std::move(what));
-  }
 }
 
 void SharedServicer::drain_session_ring_locked(Shard& sh, std::unique_lock<std::mutex>& lock,
@@ -765,7 +624,7 @@ void SharedServicer::maybe_crash_locked(Shard& sh, SessionRt& rt, std::size_t pl
     // barrier checkpoint — the serialized form is load-bearing, exactly as
     // it would be for a real process reading its checkpoint off disk.
     const std::vector<std::uint8_t>& bytes = ss.ckpts.bytes(static_cast<std::uint32_t>(player));
-    recover_player_locked(sh, up, down, decode_checkpoint(bytes), bytes, &ss);
+    recover_player_locked(sh, up, down, decode_checkpoint(bytes), bytes, ss);
   }
 }
 
@@ -808,17 +667,8 @@ void SharedServicer::session_charge(std::size_t session, std::size_t player, boo
     }
   }
   std::unique_lock lock(sh.mu);
-  SessionRt& rt = sh.sessions[local];
-  drain_session_ring_locked(sh, lock, rt);
+  SessionRt& rt = enter_session_locked(sh, lock, local, player);
   SessionState& ss = rt.st;
-  throw_if_error_locked(sh);
-  throw_if_session_failed_locked(ss);
-  if (ss.closed) {
-    throw NetError(NetErrorKind::kClosed, "charge after the session closed");
-  }
-  if (player >= ss.k) {
-    throw NetError(NetErrorKind::kProtocol, "charge names a player outside [0, k)");
-  }
   // Phase barrier: the session's pipeline drains completely before the
   // first charge of a new phase, so frames never mix phases and the
   // executed run keeps the round structure the Transcript records.
@@ -830,9 +680,50 @@ void SharedServicer::session_charge(std::size_t session, std::size_t player, boo
   if (ss.crash_tolerance && ss.faults.has_crashes()) maybe_crash_locked(sh, rt, player, phase);
   LinkState& link = *sh.links[ss.link_base + (upstream ? player : ss.k + player)];
   const std::size_t sealed_before = link.queue.size();
+  // The log, not the live queue, is recovery's source of truth: replaying
+  // it through seal_charge reproduces the coalescing decisions and hence
+  // the exact frame stream (which is a pure per-link function of the
+  // per-link charge sequence).
   if (link.log_charges) link.charge_log.push_back({phase, bits});
   seal_charge(link, phase, bits);
+  // Wake the servicer only when a frame was actually sealed: a charge that
+  // merely grew the open batch gives it nothing to do, and this is the
+  // windowed pipeline's hot loop.
   if (link.queue.size() != sealed_before) sh.work_cv.notify_one();
+  wait_for_space(sh, lock, link);
+}
+
+SharedServicer::SessionRt& SharedServicer::enter_session_locked(Shard& sh,
+                                                                std::unique_lock<std::mutex>& lock,
+                                                                std::size_t local,
+                                                                std::size_t player) {
+  SessionRt& rt = sh.sessions[local];
+  drain_session_ring_locked(sh, lock, rt);
+  throw_if_error_locked(sh);
+  throw_if_session_failed_locked(rt.st);
+  if (rt.st.closed) {
+    throw NetError(NetErrorKind::kClosed, "charge after the session closed");
+  }
+  if (player >= rt.st.k) {
+    throw NetError(NetErrorKind::kProtocol, "charge names a player outside [0, k)");
+  }
+  return rt;
+}
+
+void SharedServicer::session_relay(std::size_t session, std::size_t player,
+                                   std::size_t recipient, std::uint64_t bits) {
+  Shard& sh = *shards_[session % num_shards_];
+  std::unique_lock lock(sh.mu);
+  SessionState& ss = enter_session_locked(sh, lock, session / num_shards_, player).st;
+  if (recipient >= ss.k) {
+    throw NetError(NetErrorKind::kProtocol, "relay names a recipient outside [0, k)");
+  }
+  LinkState& link = *sh.links[ss.link_base + player];
+  link.queue.push_back(
+      make_relay_frame(link.src, link.next_seq, ss.k, recipient, bits, link.session_id));
+  link.next_seq = (link.next_seq + 1) % opts_.arq.seq_modulus;
+  note_depth(link);
+  sh.work_cv.notify_one();
   wait_for_space(sh, lock, link);
 }
 
@@ -904,17 +795,14 @@ WireStats SharedServicer::close_session(std::size_t session) {
   ss.result = std::move(w);
   ss.closed = true;
   rt.failed_or_closed.store(true, std::memory_order_release);
-  if (!ss.driver_released) {
-    ss.driver_released = true;
-    --sh.live_drivers;
-  }
+  release_driver_locked(sh, ss);
   // Reclaim the session's link state — the rings, windows and scratch
   // buffers are the servicer's dominant per-session footprint, and the
   // stats they carried were just folded into ss.result. The slots go on
   // the free list so the next session of the same width reuses them.
   for (std::size_t i = ss.link_base; i < ss.link_base + 2 * ss.k; ++i) {
     sh.links[i]->active = false;
-    sh.links[i]->link->close();
+    sh.links[i]->link.close();
     sh.links[i].reset();
   }
   sh.free_link_blocks.emplace_back(ss.link_base, 2 * ss.k);
@@ -936,35 +824,10 @@ const std::vector<std::uint8_t>& SharedServicer::session_checkpoint_bytes(
   return sh.sessions[session / num_shards_].st.ckpts.bytes(static_cast<std::uint32_t>(player));
 }
 
-LinkCheckpoint SharedServicer::barrier_checkpoint(std::size_t link_index) const {
-  const Shard& sh = *shards_[0];
-  const std::lock_guard lock(sh.mu);
-  return sh.links[link_index]->barrier;
-}
-
-std::uint64_t SharedServicer::replayed_charges() const {
-  std::uint64_t n = 0;
-  for (const auto& shp : shards_) {
-    const std::lock_guard lock(shp->mu);
-    n += shp->replayed;
-  }
-  return n;
-}
-
 void SharedServicer::append_control_frame(LinkState& link, const Frame& f) {
   serialize_frame_into(f, link.wire_scratch);
   link.out_data.insert(link.out_data.end(), link.wire_scratch.begin(), link.wire_scratch.end());
   link.sstats.wire_bytes += link.wire_scratch.size();
-}
-
-void SharedServicer::crash_player(std::size_t up_index, std::size_t down_index,
-                                  std::uint32_t player, std::uint64_t phase) {
-  Shard& sh = *shards_[0];
-  const std::lock_guard lock(sh.mu);
-  if (!opts_.crash_tolerance && sh.links[up_index]->session == LinkState::kNoSession) {
-    throw NetError(NetErrorKind::kSetup, "crash_player without Options::crash_tolerance");
-  }
-  crash_player_locked(sh, up_index, down_index, player, phase);
 }
 
 void SharedServicer::crash_player_locked(Shard& sh, std::size_t up_index,
@@ -1025,19 +888,10 @@ void SharedServicer::restore_receiver(LinkState& link, const LinkCheckpoint& ck)
   link.rstats.phase_bits = ck.phase_bits;
 }
 
-void SharedServicer::recover_player(std::size_t up_index, std::size_t down_index,
-                                    const PlayerCheckpoint& ck,
-                                    std::span<const std::uint8_t> checkpoint_bytes) {
-  Shard& sh = *shards_[0];
-  const std::lock_guard lock(sh.mu);
-  throw_if_error_locked(sh);
-  recover_player_locked(sh, up_index, down_index, ck, checkpoint_bytes, nullptr);
-}
-
 void SharedServicer::recover_player_locked(Shard& sh, std::size_t up_index,
                                            std::size_t down_index, const PlayerCheckpoint& ck,
                                            std::span<const std::uint8_t> checkpoint_bytes,
-                                           SessionState* ss) {
+                                           SessionState& ss) {
   LinkState& up = *sh.links[up_index];
   LinkState& down = *sh.links[down_index];
   restore_sender(up, ck.up);      // the player's outbound lane rewinds...
@@ -1052,8 +906,7 @@ void SharedServicer::recover_player_locked(Shard& sh, std::size_t up_index,
   // coalescing path that sealed them the first time. The logs are NOT
   // re-appended (seal_charge never touches them) and NOT cleared — a second
   // death in the same phase replays the same, still-growing log.
-  sh.replayed += up.charge_log.size() + down.charge_log.size();
-  if (ss != nullptr) ss->replayed += up.charge_log.size() + down.charge_log.size();
+  ss.replayed += up.charge_log.size() + down.charge_log.size();
   for (const ChargeRec& rec : up.charge_log) seal_charge(up, rec.phase, rec.bits);
   for (const ChargeRec& rec : down.charge_log) seal_charge(down, rec.phase, rec.bits);
   sh.work_cv.notify_one();
@@ -1061,11 +914,22 @@ void SharedServicer::recover_player_locked(Shard& sh, std::size_t up_index,
 
 void SharedServicer::finish() noexcept {
   if (finished_) return;
-  try {
-    flush();
-  } catch (...) {
-    // The failure is recorded; rethrow_error() surfaces it after stats fold.
+  // No driver acts after finish(), so every open session's driver slot is
+  // released first, on every shard: the sessions then drain one at a time
+  // below, and the virtual clock's quiescence rule (driving_waiting >=
+  // live_drivers) must not wait on drivers that will never block.
+  std::vector<std::size_t> open;
+  for (std::size_t s = 0; s < num_shards_; ++s) {
+    Shard& sh = *shards_[s];
+    const std::lock_guard lock(sh.mu);
+    for (std::size_t local = 0; local < sh.sessions.size(); ++local) {
+      SessionState& ss = sh.sessions[local].st;
+      if (ss.closed) continue;
+      release_driver_locked(sh, ss);
+      open.push_back(local * num_shards_ + s);
+    }
   }
+  for (const std::size_t session : open) (void)close_session(session);
   for (auto& shp : shards_) {
     {
       const std::lock_guard lock(shp->mu);
@@ -1076,20 +940,7 @@ void SharedServicer::finish() noexcept {
   for (auto& shp : shards_) {
     if (shp->thread.joinable()) shp->thread.join();
   }
-  for (auto& shp : shards_) {
-    for (auto& link : shp->links) {
-      if (!link) continue;  // a closed session's slots; already folded at close
-      link->link->close();
-      link->folded.sender = link->sstats;
-      link->folded.receiver = link->rstats;
-      link->folded.receiver.corrupt += link->data_parser.corrupt_frames();
-    }
-  }
   finished_ = true;
-}
-
-const SharedServicer::LinkStats& SharedServicer::stats(std::size_t link_index) const {
-  return shards_[0]->links[link_index]->folded;
 }
 
 // ---- servicer threads (one per shard) ---------------------------------------
@@ -1150,7 +1001,7 @@ void SharedServicer::transmit(LinkState& link, ArqSenderWindow::Entry& entry,
   }
 }
 
-void SharedServicer::accept_frame(LinkState& link, const Frame& f) {
+void SharedServicer::accept_frame(Shard& sh, LinkState& link, const Frame& f) {
   ++link.rstats.frames;
   const auto tally = [&link](std::uint64_t phase, std::uint64_t bits) {
     ++link.rstats.messages;
@@ -1168,7 +1019,15 @@ void SharedServicer::accept_frame(LinkState& link, const Frame& f) {
   } else {
     tally(f.header.phase, f.header.payload_bits);
   }
-  if (link.deliver) link.deliver(f);
+  if (f.header.type == FrameType::kRelay) {
+    // The coordinator's half of the Section 2 simulation: strip the
+    // recipient id and forward the message as a solo kData frame. No
+    // backpressure — the servicer must never wait on itself.
+    const SessionState& ss = sh.sessions[link.session].st;
+    const std::size_t to = decode_relay_recipient(f, ss.k);
+    seal_data_frame(*sh.links[ss.link_base + ss.k + to], f.header.phase,
+                    f.header.payload_bits - vertex_bits(static_cast<std::uint64_t>(ss.k)));
+  }
 }
 
 void SharedServicer::handle_control_frame(LinkState& link, const Frame& f) {
@@ -1187,7 +1046,7 @@ void SharedServicer::handle_control_frame(LinkState& link, const Frame& f) {
   }
 }
 
-void SharedServicer::handle_data_frame(LinkState& link, Frame f) {
+void SharedServicer::handle_data_frame(Shard& sh, LinkState& link, Frame f) {
   if (f.header.type == FrameType::kAck) return;  // not this pipe's traffic
   if (f.header.type == FrameType::kPlayerDown || f.header.type == FrameType::kResume) {
     handle_control_frame(link, f);
@@ -1210,7 +1069,7 @@ void SharedServicer::handle_data_frame(LinkState& link, Frame f) {
   const auto verdict = link.rcv.on_frame(std::move(f));
   switch (verdict) {
     case ArqReceiverWindow::Verdict::kInOrder:
-      for (const Frame& run : link.rcv.take_deliverable()) accept_frame(link, run);
+      for (const Frame& run : link.rcv.take_deliverable()) accept_frame(sh, link, run);
       break;
     case ArqReceiverWindow::Verdict::kBuffered:
       break;
@@ -1255,14 +1114,14 @@ bool SharedServicer::sweep(Shard& sh, std::uint64_t now) {
     note_depth(link);
     // Flush pending out-bytes (partial writes park here; never blocks).
     if (link.out_data_pos < link.out_data.size()) {
-      const std::size_t n = link.link->data->write_some(std::span<const std::uint8_t>(
+      const std::size_t n = link.link.data->write_some(std::span<const std::uint8_t>(
           link.out_data.data() + link.out_data_pos, link.out_data.size() - link.out_data_pos));
       link.out_data_pos += n;
       progress |= n > 0;
       compact(link.out_data, link.out_data_pos);
     }
     if (link.out_ack_pos < link.out_ack.size()) {
-      const std::size_t n = link.link->ack->write_some(std::span<const std::uint8_t>(
+      const std::size_t n = link.link.ack->write_some(std::span<const std::uint8_t>(
           link.out_ack.data() + link.out_ack_pos, link.out_ack.size() - link.out_ack_pos));
       link.out_ack_pos += n;
       progress |= n > 0;
@@ -1275,7 +1134,7 @@ bool SharedServicer::sweep(Shard& sh, std::uint64_t now) {
     Frame f;
     if (!link.dst_down) {
       for (;;) {
-        const int n = link.link->data->read_some(sh.read_buf, Clock::now());
+        const int n = link.link.data->read_some(sh.read_buf, Clock::now());
         if (n <= 0) break;
         link.rstats.bytes_read += static_cast<std::uint64_t>(n);
         link.data_parser.feed(
@@ -1285,12 +1144,11 @@ bool SharedServicer::sweep(Shard& sh, std::uint64_t now) {
       while (link.data_parser.next(f)) {
         progress = true;
         try {
-          handle_data_frame(link, std::move(f));
+          handle_data_frame(sh, link, std::move(f));
         } catch (const NetError& e) {
           // A protocol violation (window overrun, undecodable verified
-          // batch) is contained to the link's session; sessionless links
-          // abort the servicer as before.
-          link_failure(sh, link, e.kind(), e.what());
+          // batch, bad relay recipient) is contained to the link's session.
+          fail_session_locked(sh, link, e.kind(), e.what());
           break;
         }
       }
@@ -1298,7 +1156,7 @@ bool SharedServicer::sweep(Shard& sh, std::uint64_t now) {
     }
     if (!link.src_down) {
       for (;;) {
-        const int n = link.link->ack->read_some(sh.read_buf, Clock::now());
+        const int n = link.link.ack->read_some(sh.read_buf, Clock::now());
         if (n <= 0) break;
         link.ack_parser.feed(
             std::span<const std::uint8_t>(sh.read_buf.data(), static_cast<std::size_t>(n)));
@@ -1329,9 +1187,9 @@ bool SharedServicer::retransmit_due(Shard& sh, std::uint64_t now) {
     link.window.due(now, sh.due_scratch);
     for (ArqSenderWindow::Entry* e : sh.due_scratch) {
       if (e->attempts > opts_.retry.max_retries) {
-        link_failure(sh, link, NetErrorKind::kTimeout,
-                     "no ack for seq " + std::to_string(e->seq) + " after " +
-                         std::to_string(e->attempts) + " attempts");
+        fail_session_locked(sh, link, NetErrorKind::kTimeout,
+                            "no ack for seq " + std::to_string(e->seq) + " after " +
+                                std::to_string(e->attempts) + " attempts");
         any = true;  // the failure acted: drivers woke, the link retired
         break;
       }
@@ -1353,9 +1211,9 @@ void SharedServicer::check_down(Shard& sh, std::uint64_t now) {
     LinkState& link = *lp;
     if (!link.active) continue;
     if (link.down_deadline_us != 0 && now >= link.down_deadline_us) {
-      link_failure(sh, link, NetErrorKind::kPlayerDown,
-                   "player on link " + std::to_string(link.link_id) +
-                       " declared down and did not resume within down_timeout");
+      fail_session_locked(sh, link, NetErrorKind::kPlayerDown,
+                          "player on link " + std::to_string(link.link_id) +
+                              " declared down and did not resume within down_timeout");
     }
   }
 }

@@ -3,7 +3,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -11,15 +10,12 @@
 #include <thread>
 #include <vector>
 
-#include <deque>
-
 #include "comm/channel.h"
 #include "net/arq.h"
 #include "net/checkpoint.h"
 #include "net/error.h"
 #include "net/fault.h"
 #include "net/recovery.h"
-#include "net/reliable.h"
 #include "net/session.h"
 #include "net/transport.h"
 
@@ -28,11 +24,12 @@
 /// default 1) drain every link of every live session — admitting sealed
 /// frames into each link's ARQ window, writing wire bytes (never blocking:
 /// partial writes park in per-link out-buffers), parsing arrivals,
-/// acknowledging, delivering, and retransmitting on timeout. It replaces
-/// the 2k LinkServicer threads of the stop-and-wait engine, and — since the
-/// session table landed — also the one-servicer-per-NetSession topology:
-/// many concurrent sessions multiplex over one servicer and one shared
-/// transport.
+/// acknowledging, forwarding relayed messages, and retransmitting on
+/// timeout. It replaces the 2k LinkServicer threads of the stop-and-wait
+/// engine, and — since the session table landed — also the
+/// one-servicer-per-NetSession topology: many concurrent sessions multiplex
+/// over one servicer and one shared transport. The session is the only unit
+/// of work: every link belongs to exactly one session.
 ///
 /// ## Shards
 ///
@@ -82,21 +79,21 @@
 ///
 /// A *session* (net/session.h) is a value-type row in its shard's table:
 /// open_session registers 2k links for k players (up then down, the same
-/// intra-session link-id numbering as a solo run), session_charge /
-/// session_flush are the per-session forms of enqueue_charge / flush (with
-/// the per-session phase barrier and crash controller folded in), and
-/// close_session drains, folds that session's WireStats and retires its
-/// links. Failures with link context (timeout, overrun, player-down) are
-/// *contained*: they fail only the owning session — its links go inactive,
-/// its driver's waits throw the session's typed error — while every other
-/// session keeps draining. Only session-free failures (setup, legacy relay
-/// lanes) abort the servicer globally.
+/// intra-session link-id numbering as a solo run); session_charge seals a
+/// charge (with the per-session phase barrier and crash controller folded
+/// in), session_relay seals a Section 2 relay frame that the servicer
+/// forwards to the recipient's down link, session_flush is the phase
+/// barrier, and close_session drains, folds that session's WireStats and
+/// retires its links. Failures with link context (timeout, overrun,
+/// player-down, a bad relay recipient) are *contained*: they fail only the
+/// owning session — its links go inactive, its driver's waits throw the
+/// session's typed error — while every other session keeps draining. Only
+/// an exception that escapes a poller with no link to blame aborts the
+/// servicer globally (rethrow_error).
 ///
 /// Session handles returned by open_session encode the shard: handle =
 /// local_index * num_shards + shard. At num_shards = 1 the handle equals
-/// the table index, exactly as before. Legacy sessionless APIs (add_link,
-/// enqueue_charge, enqueue_relay, the crash controller's link-index forms,
-/// stats) operate on shard 0, where all add_link links live.
+/// the table index.
 
 namespace tft::net {
 
@@ -112,9 +109,9 @@ class SharedServicer {
     /// Kernel-buffered transport: the servicer cannot assume "nothing
     /// readable unless I wrote it", so quiescent waits recheck on a timer.
     bool timed_recheck = false;
-    /// Crash-fault tolerance (net/recovery.h): log charges since the last
-    /// flush barrier, snapshot per-link barrier state at every flush, and
-    /// accept crash_player / recover_player calls. Off for relay lanes.
+    /// Unused: crash tolerance is per session (SessionOptions::
+    /// crash_tolerance), and nothing reads this field. It stays so that
+    /// callers that still assign it (perfbench/src/workloads.cpp) compile.
     bool crash_tolerance = false;
     /// Independent poller shards. 1 (the default) is the single-threaded
     /// servicer, byte for byte; N > 1 scales the service plane across N
@@ -128,15 +125,6 @@ class SharedServicer {
 
   SharedServicer(const SharedServicer&) = delete;
   SharedServicer& operator=(const SharedServicer&) = delete;
-
-  /// Register a directed link before start(). `link` must outlive the
-  /// servicer. `coalesce` gates batching per link (relay lanes keep one
-  /// message per frame so the overhead measurement stays per-message).
-  /// `deliver` (optional) sees each unique accepted frame in sequence
-  /// order, on the servicer thread; it may call enqueue_from_hook only.
-  /// Legacy links always live on shard 0.
-  std::size_t add_link(Link* link, std::uint32_t link_id, std::uint32_t src, std::uint32_t dst,
-                       bool coalesce, std::function<void(const Frame&)> deliver = nullptr);
 
   void start();
 
@@ -168,16 +156,26 @@ class SharedServicer {
   /// num_shards = 1).
   std::size_t open_session(Transport& transport, const SessionOptions& so);
 
-  /// Per-session enqueue_charge: runs the session's phase barrier when
-  /// `phase` changes, evaluates its crash schedule, seals the charge onto
-  /// the addressed link and applies backpressure. Throws the session's
-  /// typed error if it failed. With num_shards > 1, eligible charges take
-  /// the shard's lock-free ring instead of the mutex.
+  /// Runs the session's phase barrier when `phase` changes, evaluates its
+  /// crash schedule, seals the charge onto the addressed link and applies
+  /// backpressure. Throws the session's typed error if it failed. With
+  /// num_shards > 1, eligible charges take the shard's lock-free ring
+  /// instead of the mutex.
   void session_charge(std::size_t session, std::size_t player, bool upstream,
                       std::uint64_t bits, std::uint64_t phase);
 
-  /// Per-session flush(): seal + drain only this session's links; under
-  /// crash tolerance, snapshot its barrier checkpoints.
+  /// The Section 2 relay: seal one kRelay frame (fixed-width recipient id +
+  /// `bits` of message filler) on `player`'s up link, with session_charge's
+  /// backpressure. The servicer forwards each accepted relay frame as a
+  /// solo kData frame of `bits` onto `recipient`'s down link in the same
+  /// session. Relay frames never coalesce, so the measured overhead stays
+  /// per message, and are not charge-logged, so crash recovery does not
+  /// replay them.
+  void session_relay(std::size_t session, std::size_t player, std::size_t recipient,
+                     std::uint64_t bits);
+
+  /// Phase barrier: seal + drain only this session's links; under crash
+  /// tolerance, snapshot its barrier checkpoints.
   void session_flush(std::size_t session);
 
   /// Drain (best effort), fold and return this session's WireStats, retire
@@ -193,85 +191,18 @@ class SharedServicer {
   [[nodiscard]] const std::vector<std::uint8_t>& session_checkpoint_bytes(
       std::size_t session, std::size_t player) const;
 
-  [[nodiscard]] std::size_t num_sessions() const;
-
-  // ---- driving-thread API (legacy sessionless links, shard 0) -------------
-
-  /// Append one charged message to the link's open batch (or seal a solo
-  /// frame when not coalescing). Blocks on queue backpressure; under
-  /// block_per_frame, blocks until the frame is acknowledged.
-  void enqueue_charge(std::size_t link_index, std::uint64_t phase, std::uint64_t bits);
-
-  /// Seal one kRelay frame (recipient id + message filler) immediately.
-  void enqueue_relay(std::size_t link_index, std::size_t k, std::size_t recipient,
-                     std::uint64_t message_bits);
-
-  /// Phase barrier: seal every open batch, then block until every queue,
-  /// window and out-buffer is drained (acknowledged end to end) on every
-  /// shard. Under crash_tolerance the barrier additionally snapshots every
-  /// link's LinkCheckpoint and clears the charge logs — the checkpoint
-  /// instant.
-  void flush();
-
-  // ---- crash controller (driving thread, crash_tolerance only) ------------
-
-  /// Kill `player` between two charges: its up link (`up_index`) stops
-  /// sending, its down link (`down_index`) stops receiving, the down link's
-  /// ack epoch is fenced so the dead incarnation's stale acks cannot retire
-  /// rewound window entries, and a kPlayerDown control frame is emitted on
-  /// the down link. If no recover_player follows, the session fails with
-  /// NetError(kPlayerDown) after RetryPolicy::down_timeout (fail-fast) or
-  /// NetError(kTimeout) once the backoff budget burns out (legacy).
-  /// Link indices are shard-0 scope (the legacy single-session layout).
-  void crash_player(std::size_t up_index, std::size_t down_index, std::uint32_t player,
-                    std::uint64_t phase);
-
-  /// Resurrect a crashed player from its barrier checkpoint: both lane
-  /// halves rewind to the checkpointed state, a kResume control frame
-  /// carrying `checkpoint_bytes` travels the up link, and the charge logs
-  /// accumulated since the barrier are replayed — regenerating the dead
-  /// incarnation's outbound frame stream bit for bit (receivers deduplicate
-  /// whatever was already delivered). Throws NetError(kProtocol) if more
-  /// frames were sealed since the barrier than the sequence circle can
-  /// replay unambiguously.
-  void recover_player(std::size_t up_index, std::size_t down_index, const PlayerCheckpoint& ck,
-                      std::span<const std::uint8_t> checkpoint_bytes);
-
-  /// The link's state at the last flush barrier (all zeros before the
-  /// first barrier — the start-of-run checkpoint). Shard-0 link indices.
-  [[nodiscard]] LinkCheckpoint barrier_checkpoint(std::size_t link_index) const;
-
-  /// Total charges re-sealed by recover_player calls so far (all shards).
-  [[nodiscard]] std::uint64_t replayed_charges() const;
-
-  /// Drain, stop and join every shard; never throws (failures stay in
-  /// error() and are rethrown by rethrow_error()). Idempotent. Stats are
-  /// valid after this.
+  /// close_session every session still open (no driver may act after
+  /// this call), then stop and join every shard. Never throws: session
+  /// failures stay with their sessions (rethrow_session_error), poller
+  /// failures with rethrow_error. Idempotent.
   void finish() noexcept;
 
   /// Throws the first shard's recorded NetError, if any (shards checked in
   /// index order).
   void rethrow_error() const;
 
-  // ---- servicer-thread API (deliver hooks only) ---------------------------
-
-  /// Seal a solo kData frame from inside a deliver hook (the relay
-  /// forwarding path). Lock already held; never blocks, ignores
-  /// pending_cap — the servicer must never wait on itself.
-  void enqueue_from_hook(std::size_t link_index, std::uint64_t phase, std::uint64_t bits);
-
-  // ---- results (after finish) ---------------------------------------------
-
-  struct LinkStats {
-    SenderStats sender;
-    ReceiverStats receiver;
-  };
-
-  /// Shard-0 (legacy) link stats.
-  [[nodiscard]] const LinkStats& stats(std::size_t link_index) const;
-  [[nodiscard]] std::uint64_t virtual_time_us() const noexcept;
+  /// Link-table slots across all shards, reclaimed ones included.
   [[nodiscard]] std::size_t num_links() const noexcept;
-  [[nodiscard]] std::size_t num_shards() const noexcept { return num_shards_; }
 
  private:
   struct LinkState;
@@ -294,26 +225,33 @@ class SharedServicer {
   [[nodiscard]] bool earliest_deadline(const Shard& sh, std::uint64_t& out) const noexcept;
   void check_down(Shard& sh, std::uint64_t now_us);
   void wait_for_space(Shard& sh, std::unique_lock<std::mutex>& lock, LinkState& link);
+  SessionRt& enter_session_locked(Shard& sh, std::unique_lock<std::mutex>& lock,
+                                  std::size_t local, std::size_t player);
   void drain_session_ring_locked(Shard& sh, std::unique_lock<std::mutex>& lock, SessionRt& rt);
   void session_barrier_locked(Shard& sh, std::unique_lock<std::mutex>& lock, SessionState& ss);
   void refresh_session_checkpoints_locked(Shard& sh, SessionState& ss);
   void maybe_crash_locked(Shard& sh, SessionRt& rt, std::size_t player, std::uint64_t phase);
+  /// Kill `player` between two charges: its up link stops sending, its down
+  /// link stops receiving and fences its ack epoch, and a kPlayerDown frame
+  /// goes out on the down link.
   void crash_player_locked(Shard& sh, std::size_t up_index, std::size_t down_index,
                            std::uint32_t player, std::uint64_t phase);
+  /// Resurrect a crashed player from its barrier checkpoint: rewind both
+  /// lanes, send kResume on the up link and replay the charge logs. Throws
+  /// NetError(kProtocol) when the replay would alias sequence numbers.
   void recover_player_locked(Shard& sh, std::size_t up_index, std::size_t down_index,
                              const PlayerCheckpoint& ck,
-                             std::span<const std::uint8_t> checkpoint_bytes, SessionState* ss);
-  void fail_session_locked(Shard& sh, SessionRt& rt, NetErrorKind kind,
+                             std::span<const std::uint8_t> checkpoint_bytes, SessionState& ss);
+  static void release_driver_locked(Shard& sh, SessionState& ss) noexcept;
+  /// Fail the link's session: its links retire and its driver's waits throw.
+  void fail_session_locked(Shard& sh, const LinkState& link, NetErrorKind kind,
                            std::string what) noexcept;
-  /// Route a failure to its owner: the link's session if it has one, the
-  /// global error otherwise.
-  void link_failure(Shard& sh, LinkState& link, NetErrorKind kind, std::string what) noexcept;
   void throw_if_session_failed_locked(const SessionState& ss) const;
   [[nodiscard]] bool session_drained_locked(const Shard& sh,
                                             const SessionState& ss) const noexcept;
-  void handle_data_frame(LinkState& link, Frame f);
+  void handle_data_frame(Shard& sh, LinkState& link, Frame f);
   void handle_control_frame(LinkState& link, const Frame& f);
-  void accept_frame(LinkState& link, const Frame& f);
+  void accept_frame(Shard& sh, LinkState& link, const Frame& f);
   void seal_open_batch(LinkState& link);
   void seal_data_frame(LinkState& link, std::uint64_t phase, std::uint64_t bits);
   void seal_charge(LinkState& link, std::uint64_t phase, std::uint64_t bits);
@@ -324,11 +262,9 @@ class SharedServicer {
   [[nodiscard]] bool suppressed_sender(const LinkState& link) const noexcept;
   [[nodiscard]] bool all_drained(const Shard& sh) const noexcept;
   [[nodiscard]] bool anything_unacked(const Shard& sh) const noexcept;
-  [[nodiscard]] bool ring_drained(const Shard& sh) const noexcept;
   void record_error(Shard& sh, NetErrorKind kind, std::string what) noexcept;
   void throw_if_error_locked(const Shard& sh) const;
   [[nodiscard]] std::uint64_t now_us(const Shard& sh) const noexcept;
-  void flush_shard(Shard& sh);
 
   Options opts_;
   std::size_t num_shards_ = 1;

@@ -52,7 +52,6 @@ ServiceCoordinator::ServiceCoordinator(const ServiceConfig& cfg) : cfg_(cfg) {
   opts.faults = cfg_.net.faults;
   opts.virtual_clock = cfg_.net.virtual_clock;
   opts.timed_recheck = cfg_.net.transport == net::TransportKind::kSocket;
-  opts.crash_tolerance = cfg_.net.crash_tolerance;
   opts.num_shards = cfg_.net.num_shards;
   servicer_ = std::make_unique<net::SharedServicer>(opts);
   servicer_->start();

@@ -8,10 +8,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <mutex>
+#include <list>
 #include <thread>
 #include <vector>
 
@@ -133,7 +134,14 @@ void ServiceDaemon::shutdown() {
 void ServiceDaemon::accept_loop() {
   // One thread per connection: a session can run for seconds, and the soak
   // test's whole point is concurrent clients making concurrent sessions.
-  std::vector<std::thread> handlers;
+  // After each spawn the loop joins the handlers that have finished, so a
+  // long-running daemon holds threads (and their stacks) only for requests
+  // in flight; a handler still running is never waited on here.
+  struct Handler {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Handler> handlers;  // list: a running handler's `done` never moves
   while (true) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
@@ -142,12 +150,22 @@ void ServiceDaemon::accept_loop() {
     }
     const int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    handlers.emplace_back([this, fd] {
+    Handler& h = handlers.emplace_back();
+    h.thread = std::thread([this, fd, &done = h.done] {
       serve_connection(fd);
       (void)::close(fd);
+      done.store(true, std::memory_order_release);
     });
+    for (auto it = handlers.begin(); it != handlers.end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = handlers.erase(it);
+      } else {
+        ++it;
+      }
+    }
   }
-  for (auto& h : handlers) h.join();
+  for (auto& h : handlers) h.thread.join();
 }
 
 void ServiceDaemon::serve_connection(int fd) {

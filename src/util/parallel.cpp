@@ -59,6 +59,7 @@ void ThreadPool::run_on_workers(const std::function<void(int)>& job) {
     job(0);
     return;
   }
+  const std::lock_guard region(region_mutex_);
   {
     std::lock_guard lk(mutex_);
     job_ = &job;

@@ -64,7 +64,8 @@ class ThreadPool {
   [[nodiscard]] int size() const noexcept { return static_cast<int>(threads_.size()) + 1; }
 
   /// Runs job(worker_index) once per worker, concurrently, and returns when
-  /// all invocations have completed. The job must not throw.
+  /// all invocations have completed. The job must not throw. Safe to call
+  /// from several outside threads at once: their regions run one at a time.
   void run_on_workers(const std::function<void(int)>& job);
 
   /// The process-wide pool, sized to `default_threads()`. Rebuilt lazily if
@@ -75,6 +76,10 @@ class ThreadPool {
   void worker_loop(int index);
 
   std::vector<std::thread> threads_;
+  /// Held across a whole region: job_, epoch_ and running_ describe one
+  /// region at a time. Nested calls never reach it (they run serially under
+  /// in_parallel_region).
+  std::mutex region_mutex_;
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;

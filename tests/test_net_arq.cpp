@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -253,12 +254,24 @@ TEST(NetArq, TimeoutForSaturatesWithoutOverflow) {
 
 // ---- engine equivalences ----------------------------------------------------
 
+/// Every byte written through one pipe, in write order. Owned by the
+/// transport that minted the pipe, so it outlives the servicer's links.
+struct Recording {
+  mutable std::mutex mu;
+  std::vector<std::uint8_t> bytes;
+
+  [[nodiscard]] std::vector<std::uint8_t> snapshot() const {
+    const std::lock_guard lock(mu);
+    return bytes;
+  }
+};
+
 /// A Pipe that records every byte actually written through it (both the
 /// blocking legacy path and the servicer's write_some path) while
 /// delegating to a ByteRing — the probe for byte-for-byte A/B comparisons.
 class RecordingPipe final : public Pipe {
  public:
-  explicit RecordingPipe(std::size_t capacity) : inner_(capacity) {}
+  RecordingPipe(std::size_t capacity, Recording& out) : inner_(capacity), out_(out) {}
 
   void write(std::span<const std::uint8_t> bytes, Clock::time_point deadline) override {
     record(bytes);
@@ -274,43 +287,43 @@ class RecordingPipe final : public Pipe {
   }
   void close() override { inner_.close(); }
 
-  [[nodiscard]] std::vector<std::uint8_t> recorded() const {
-    const std::lock_guard lock(mu_);
-    return recorded_;
-  }
-
  private:
   void record(std::span<const std::uint8_t> bytes) {
-    const std::lock_guard lock(mu_);
-    recorded_.insert(recorded_.end(), bytes.begin(), bytes.end());
+    const std::lock_guard lock(out_.mu);
+    out_.bytes.insert(out_.bytes.end(), bytes.begin(), bytes.end());
   }
 
   ByteRing inner_;
-  mutable std::mutex mu_;
-  std::vector<std::uint8_t> recorded_;
+  Recording& out_;
 };
 
-struct RecordedLink {
-  Link link;
-  RecordingPipe* data = nullptr;
-  RecordingPipe* ack = nullptr;
-};
+/// In-proc transport whose every link records both directions; link j (in
+/// minting order) records into links[j].
+class RecordingTransport final : public Transport {
+ public:
+  struct Recorded {
+    Recording data;
+    Recording ack;
+  };
 
-RecordedLink make_recorded_link() {
-  RecordedLink r;
-  auto data = std::make_unique<RecordingPipe>(std::size_t{1} << 16);
-  auto ack = std::make_unique<RecordingPipe>(std::size_t{1} << 16);
-  r.data = data.get();
-  r.ack = ack.get();
-  r.link.data = std::move(data);
-  r.link.ack = std::move(ack);
-  return r;
-}
+  [[nodiscard]] Link make_link() override {
+    Recorded& r = links.emplace_back();
+    Link link;
+    link.data = std::make_unique<RecordingPipe>(std::size_t{1} << 16, r.data);
+    link.ack = std::make_unique<RecordingPipe>(std::size_t{1} << 16, r.ack);
+    return link;
+  }
+  [[nodiscard]] const char* name() const noexcept override { return "recording"; }
+
+  std::deque<Recorded> links;  ///< deque: minting never moves a Recording
+};
 
 struct ByteStreams {
   std::vector<std::uint8_t> data;
   std::vector<std::uint8_t> ack;
-  SenderStats sender;
+  std::uint64_t wire_bytes = 0;
+  std::uint64_t retransmissions = 0;
+  std::uint64_t duplicates = 0;  ///< injected duplicate writes + receiver dedup discards
 };
 
 /// The same charge sequence every A/B run ships: mixed sizes and phases.
@@ -323,10 +336,11 @@ std::vector<ChargeRec> ab_charges() {
 }
 
 ByteStreams run_legacy_engine(const RetryPolicy& retry, const FaultPlan& faults) {
-  RecordedLink rl = make_recorded_link();
-  LinkServicer servicer(rl.link, /*src=*/0, /*dst=*/1);
+  RecordingTransport transport;
+  Link link = transport.make_link();
+  LinkServicer servicer(link, /*src=*/0, /*dst=*/1);
   std::thread th([&] { servicer.run(); });
-  ReliableSender sender(rl.link, /*link_id=*/0, retry, faults);
+  ReliableSender sender(link, /*link_id=*/0, retry, faults);
   for (const ChargeRec& c : ab_charges()) {
     Frame f;
     f.header.type = FrameType::kData;
@@ -338,25 +352,38 @@ ByteStreams run_legacy_engine(const RetryPolicy& retry, const FaultPlan& faults)
     f.payload = make_filler_payload(f.header);
     sender.send(std::move(f));
   }
-  rl.link.close();
+  link.close();
   th.join();
   EXPECT_FALSE(servicer.error().has_value());
-  return {rl.data->recorded(), rl.ack->recorded(), sender.stats()};
+  return {transport.links[0].data.snapshot(), transport.links[0].ack.snapshot(),
+          sender.stats().wire_bytes, sender.stats().retransmissions,
+          sender.stats().duplicates_sent + servicer.stats().duplicates};
 }
 
+/// One single-player session with wire id 0: its up link (minted first) is
+/// link id 0 from player 0 to the coordinator (id 1) — the legacy link's
+/// addressing and fault keying — and its down link stays silent.
 ByteStreams run_shared_servicer(const RetryPolicy& retry, const FaultPlan& faults) {
-  RecordedLink rl = make_recorded_link();
+  RecordingTransport transport;
   SharedServicer::Options opts;
   opts.arq = ArqPolicy::stop_and_wait();
   opts.retry = retry;
   opts.faults = faults;
   SharedServicer svc(opts);
-  svc.add_link(&rl.link, /*link_id=*/0, /*src=*/0, /*dst=*/1, /*coalesce=*/true);
+  SharedServicer::SessionOptions so;
+  so.num_players = 1;
+  const std::size_t session = svc.open_session(transport, so);
   svc.start();
-  for (const ChargeRec& c : ab_charges()) svc.enqueue_charge(0, c.phase, c.bits);
+  for (const ChargeRec& c : ab_charges()) {
+    svc.session_charge(session, /*player=*/0, /*upstream=*/true, c.bits, c.phase);
+  }
+  const WireStats w = svc.close_session(session);
   svc.finish();
   svc.rethrow_error();
-  return {rl.data->recorded(), rl.ack->recorded(), svc.stats(0).sender};
+  svc.rethrow_session_error(session);
+  EXPECT_TRUE(transport.links[1].data.snapshot().empty()) << "the down link carries nothing";
+  return {transport.links[0].data.snapshot(), transport.links[0].ack.snapshot(), w.wire_bytes,
+          w.retransmissions, w.duplicates};
 }
 
 TEST(NetArq, StopAndWaitPolicyWritesTheLegacyByteStream) {
@@ -365,9 +392,9 @@ TEST(NetArq, StopAndWaitPolicyWritesTheLegacyByteStream) {
   const ByteStreams shared = run_shared_servicer(retry, FaultPlan{});
   EXPECT_EQ(legacy.data, shared.data) << "data byte streams must be identical";
   EXPECT_EQ(legacy.ack, shared.ack) << "ack byte streams must be identical";
-  EXPECT_EQ(legacy.sender.wire_bytes, shared.sender.wire_bytes);
-  EXPECT_EQ(legacy.sender.retransmissions, 0u);
-  EXPECT_EQ(shared.sender.retransmissions, 0u);
+  EXPECT_EQ(legacy.wire_bytes, shared.wire_bytes);
+  EXPECT_EQ(legacy.retransmissions, 0u);
+  EXPECT_EQ(shared.retransmissions, 0u);
 }
 
 TEST(NetArq, StopAndWaitPolicyMatchesLegacyBytesUnderFaults) {
@@ -386,10 +413,10 @@ TEST(NetArq, StopAndWaitPolicyMatchesLegacyBytesUnderFaults) {
   const ByteStreams shared = run_shared_servicer(retry, faults);
   EXPECT_EQ(legacy.data, shared.data);
   EXPECT_EQ(legacy.ack, shared.ack);
-  EXPECT_EQ(legacy.sender.retransmissions, shared.sender.retransmissions);
-  EXPECT_EQ(legacy.sender.duplicates_sent, shared.sender.duplicates_sent);
-  EXPECT_EQ(legacy.sender.wire_bytes, shared.sender.wire_bytes);
-  EXPECT_GT(shared.sender.retransmissions, 0u) << "the plan must actually bite";
+  EXPECT_EQ(legacy.retransmissions, shared.retransmissions);
+  EXPECT_EQ(legacy.duplicates, shared.duplicates);
+  EXPECT_EQ(legacy.wire_bytes, shared.wire_bytes);
+  EXPECT_GT(shared.retransmissions, 0u) << "the plan must actually bite";
 }
 
 // ---- virtual clock ----------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -269,6 +270,27 @@ TEST(NetExecuted, MixedSizeRelayStaysWithinTheBound) {
   EXPECT_GT(r.measured_overhead, 2.0);  // forwarding alone doubles the payload
   EXPECT_LE(r.measured_overhead, r.bound);
   EXPECT_DOUBLE_EQ(r.bound, MessagePassingSimulator::overhead_bound(8, k));
+}
+
+TEST(NetExecuted, RelayUnderTotalLossIsATypedTimeout) {
+  // Nothing reaches the wire, so the relay session fails after its retry
+  // budget; the failure must surface as the session's typed error, never as
+  // a hang or a silently short report.
+  const std::vector<MpMessage> messages = {{0, 1, 16}, {1, 2, 16}, {2, 0, 16}};
+  NetConfig cfg;
+  cfg.virtual_clock = true;
+  cfg.faults.seed = 31;
+  cfg.faults.drop = 1.0;
+  cfg.retry.max_retries = 3;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)relay_messages(3, 32, messages, cfg);
+    FAIL() << "a fully lossy link cannot relay a message";
+  } catch (const NetError& e) {
+    EXPECT_EQ(e.kind(), NetErrorKind::kTimeout);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10))
+      << "retries must be bounded, never a hang";
 }
 
 // run_executed_chunked: each player's input comes from its own chunk slice

@@ -15,6 +15,7 @@
 #include "net/runtime.h"
 #include "net/servicer.h"
 #include "net/transport.h"
+#include "util/bits.h"
 
 namespace tft::net {
 namespace {
@@ -126,6 +127,84 @@ TEST(NetMultiSession, MultiplexedSessionMatchesItsSoloRunByteForByte) {
 /// whose links black-hole every frame exhausts its retry budget and fails
 /// with a typed error, while a clean session sharing the servicer completes
 /// with exact accounting, never waiting behind the corpse.
+TEST(NetMultiSession, RelayForwardsWithinItsOwnSession) {
+  // A relay session with a non-zero wire id beside a charging neighbor: the
+  // servicer forwards each relay frame onto the recipient's down link of
+  // the same session, and the neighbor's accounting is untouched.
+  InProcTransport transport;
+  SharedServicer servicer(vclock_options());
+  servicer.start();
+  SharedServicer::SessionOptions relay;
+  relay.num_players = 3;
+  relay.session_id = 3;
+  const std::size_t three = servicer.open_session(transport, relay);
+  SharedServicer::SessionOptions other;
+  other.num_players = 2;
+  other.session_id = 4;
+  const std::size_t four = servicer.open_session(transport, other);
+
+  WireStats relay_w;
+  WireStats other_w;
+  std::thread a([&] {
+    servicer.session_relay(three, /*player=*/0, /*recipient=*/1, 16);
+    servicer.session_relay(three, /*player=*/1, /*recipient=*/2, 8);
+    servicer.session_relay(three, /*player=*/2, /*recipient=*/0, 32);
+    relay_w = servicer.close_session(three);
+    servicer.rethrow_session_error(three);
+  });
+  std::thread b([&] { other_w = drive_session(servicer, four, /*salt=*/2); });
+  a.join();
+  b.join();
+  servicer.finish();
+  servicer.rethrow_error();
+
+  const std::uint64_t id = vertex_bits(3);  // the recipient header on every relay frame
+  EXPECT_EQ(relay_w.up_bits, (std::vector<std::uint64_t>{16 + id, 8 + id, 32 + id}));
+  EXPECT_EQ(relay_w.down_bits, (std::vector<std::uint64_t>{32, 16, 8}));
+  EXPECT_EQ(relay_w.corrupt_frames, 0u);
+  EXPECT_EQ(other_w.payload_bits(), expected_payload_bits(2));
+}
+
+TEST(NetMultiSession, FinishDrainsEverySessionStillOpen) {
+  // finish() closes the sessions its caller left open. Under the virtual
+  // clock a lost frame is retransmitted only once every live driver is
+  // blocked, so finish() must stop counting the drivers of sessions it has
+  // yet to close, or the first drain would wait forever.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(shards);
+    InProcTransport transport;
+    SharedServicer::Options opts = vclock_options();
+    opts.num_shards = shards;
+    opts.arq.coalesce = false;  // one frame per charge: the drops bite
+    opts.faults.seed = 5;
+    opts.faults.drop = 0.3;
+    SharedServicer servicer(opts);
+    servicer.start();
+    std::vector<std::size_t> sidx;
+    for (std::uint32_t id = 1; id <= 2; ++id) {
+      SharedServicer::SessionOptions so;
+      so.num_players = 2;
+      so.session_id = id;
+      sidx.push_back(servicer.open_session(transport, so));
+    }
+    for (const std::size_t s : sidx) {
+      for (int i = 0; i < 10; ++i) {
+        servicer.session_charge(s, /*player=*/i % 2, /*upstream=*/true, 40, /*phase=*/0);
+      }
+    }
+    servicer.finish();
+    servicer.rethrow_error();
+    std::uint64_t retransmissions = 0;
+    for (const std::size_t s : sidx) {
+      const WireStats w = servicer.close_session(s);  // already closed: its folded result
+      servicer.rethrow_session_error(s);
+      EXPECT_EQ(w.payload_bits(), 400u);
+      retransmissions += w.retransmissions;
+    }
+    EXPECT_GT(retransmissions, 0u) << "the plan must actually drop frames";
+  }
+}
+
 TEST(NetMultiSession, TimeoutIsContainedToTheFaultySession) {
   InProcTransport transport;
   SharedServicer servicer(vclock_options());

@@ -232,24 +232,27 @@ TEST(NetTransport, SharedServicerDrainsPartialSocketWrites) {
     GTEST_SKIP() << "no loopback networking in this environment";
   }
   LoopbackSocketTransport transport(/*socket_buffer_bytes=*/4096);
-  Link link = transport.make_link();
   SharedServicer::Options opts;
   opts.arq = ArqPolicy::windowed(8);
   opts.arq.coalesce = false;
   opts.timed_recheck = true;  // kernel-buffered transport
   SharedServicer svc(opts);
-  svc.add_link(&link, /*link_id=*/0, /*src=*/0, /*dst=*/1, /*coalesce=*/false);
+  SharedServicer::SessionOptions so;
+  so.num_players = 1;
+  const std::size_t session = svc.open_session(transport, so);
   svc.start();
   std::uint64_t total = 0;
   for (const std::uint64_t bits : {300'000u, 64u, 300'000u, 1u}) {
-    svc.enqueue_charge(0, /*phase=*/0, bits);
+    svc.session_charge(session, /*player=*/0, /*upstream=*/true, bits, /*phase=*/0);
     total += bits;
   }
+  const WireStats w = svc.close_session(session);
   svc.finish();
   svc.rethrow_error();
-  EXPECT_EQ(svc.stats(0).receiver.frames, 4u);
-  EXPECT_EQ(svc.stats(0).receiver.payload_bits, total);
-  EXPECT_EQ(svc.stats(0).receiver.corrupt, 0u);
+  svc.rethrow_session_error(session);
+  EXPECT_EQ(w.frames_delivered, 4u);
+  EXPECT_EQ(w.up_bits[0], total);
+  EXPECT_EQ(w.corrupt_frames, 0u);
 }
 
 TEST(NetTransport, ServicerRejectsMisaddressedFrames) {

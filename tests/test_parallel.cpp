@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.h"
@@ -55,6 +56,37 @@ TEST(Parallel, ReduceMatchesSerialSum) {
     });
     EXPECT_EQ(got, expect) << "threads=" << threads;
   }
+}
+
+TEST(Parallel, ConcurrentOutsideCallersShareTheGlobalPool) {
+  // Two threads outside the pool drive regions on the one global pool at
+  // once (as concurrent service sessions do); each region must run its own
+  // job to completion, so every result equals the serial sum.
+  const std::size_t n = 1000;
+  std::uint64_t expect = 0;
+  for (std::size_t i = 0; i < n; ++i) expect += i * i;
+  const int wrong = with_threads(4, [&] {
+    std::atomic<int> bad{0};
+    const auto caller = [&] {
+      for (int r = 0; r < 2000; ++r) {
+        const std::uint64_t got = parallel_reduce(
+            n, std::uint64_t{0},
+            [](std::size_t b, std::size_t e) {
+              std::uint64_t s = 0;
+              for (std::size_t i = b; i < e; ++i) s += static_cast<std::uint64_t>(i) * i;
+              return s;
+            },
+            [](std::uint64_t a, std::uint64_t b) { return a + b; });
+        if (got != expect) bad.fetch_add(1);
+      }
+    };
+    std::thread a(caller);
+    std::thread b(caller);
+    a.join();
+    b.join();
+    return bad.load();
+  });
+  EXPECT_EQ(wrong, 0);
 }
 
 TEST(Parallel, FloatReduceIsBitIdenticalAcrossThreadCounts) {

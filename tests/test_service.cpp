@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -249,6 +251,45 @@ TEST(ServiceDaemonTest, ServesSpecsOverLoopbackTcp) {
   // Shutdown is idempotent and the port stops answering.
   daemon.shutdown();
   EXPECT_THROW((void)request(daemon.port(), small_spec(13)), NetError);
+}
+
+/// This process's VmSize in KiB, or -1 where /proc/self/status has none.
+std::int64_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return -1;
+}
+
+/// A long-running daemon must join its finished handler threads: each one
+/// left unjoined pins its whole stack mapping (8 MiB by default), so 200
+/// sequential requests would add about 1.6 GB of address space.
+TEST(ServiceDaemonTest, ReapsFinishedHandlerThreads) {
+  if (!net::LoopbackSocketTransport::available()) {
+    GTEST_SKIP() << "no loopback networking in this environment";
+  }
+  if (vm_size_kib() < 0) GTEST_SKIP() << "no VmSize in /proc/self/status";
+  ServiceDaemon daemon(inproc_config(/*live=*/1, /*pending=*/4));
+  SessionSpec spec = small_spec(0);
+  spec.n = 60;
+  spec.k = 2;
+  for (std::uint64_t i = 0; i < 10; ++i) {  // warm up pools, arenas and the stack cache
+    spec.seed = 500 + i;
+    (void)request(daemon.port(), spec);
+  }
+  const std::int64_t before = vm_size_kib();
+  constexpr std::int64_t kRequests = 200;
+  for (std::int64_t i = 0; i < kRequests; ++i) {
+    spec.seed = 1000 + static_cast<std::uint64_t>(i);
+    const ServiceReply r = request(daemon.port(), spec);
+    ASSERT_EQ(r.error, "");
+  }
+  const std::int64_t growth_kib = vm_size_kib() - before;
+  EXPECT_LT(growth_kib, kRequests * 1024) << "VmSize grew by " << growth_kib / 1024
+                                          << " MiB over " << kRequests << " requests";
+  daemon.shutdown();
 }
 
 // ---- spec versioning: the shard-affinity field ------------------------------
