@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +19,11 @@
 /// vertex with respect to pi" (Algorithm 1) is the one minimizing
 /// (priority, v). This avoids materializing pi while remaining identical
 /// across players.
+///
+/// The value at (tag, index) is mix_hash(mix_hash(seed, a, b), c, index).
+/// All of it but the last round depends on the tag alone, so a loop that
+/// draws many values under one tag takes a `SharedStream` (or a
+/// `SharedCoin`) once and pays one fmix64 per value.
 
 namespace tft {
 
@@ -29,28 +35,79 @@ struct SharedTag {
   std::uint64_t c = 0;
 };
 
+/// One tag's stream: the tag's hash prefix, so each value is one round.
+class SharedStream {
+ public:
+  /// Raw 64 pseudo-random bits at `index`; equals SharedRandomness::value.
+  [[nodiscard]] std::uint64_t value(std::uint64_t index) const noexcept {
+    return mix_hash_last(prefix_, index);
+  }
+
+  /// True iff u precedes v in this stream's permutation: lower priority
+  /// first, ties broken by the smaller id.
+  [[nodiscard]] bool precedes(std::uint64_t u, std::uint64_t v) const noexcept {
+    const std::uint64_t pu = value(u);
+    const std::uint64_t pv = value(v);
+    return pu != pv ? pu < pv : u < v;
+  }
+
+ private:
+  friend class SharedRandomness;
+  explicit SharedStream(std::uint64_t prefix) noexcept : prefix_(prefix) {}
+
+  std::uint64_t prefix_;
+};
+
+/// A shared Bernoulli(p) coin over one tag's stream. coin(i) is true iff the
+/// top 53 bits of value(i) lie below T = ceil(p * 2^53), which is the test
+/// `(value(i) >> 11) * 2^-53 < p` bit for bit: the left side is an integer
+/// below 2^53, and scaling by 2^53 is exact.
+class SharedCoin {
+ public:
+  [[nodiscard]] bool operator()(std::uint64_t index) const noexcept {
+    return (stream_.value(index) >> 11) < threshold_;
+  }
+
+ private:
+  friend class SharedRandomness;
+  SharedCoin(SharedStream stream, double p) noexcept : stream_(stream), threshold_(threshold(p)) {}
+
+  /// 0 for p <= 0 and NaN (never), 2^53 for p >= 1 (always).
+  [[nodiscard]] static std::uint64_t threshold(double p) noexcept {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+
+  SharedStream stream_;
+  std::uint64_t threshold_;
+};
+
 class SharedRandomness {
  public:
   explicit SharedRandomness(std::uint64_t seed) noexcept : seed_(seed) {}
 
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
+  /// The stream named by `tag`, for loops that draw many values under it.
+  [[nodiscard]] SharedStream stream(SharedTag tag) const noexcept {
+    return SharedStream(mix_hash_prefix(mix_hash(seed_, tag.a, tag.b), tag.c));
+  }
+
+  /// The shared Bernoulli(p) coin named by `tag` — e.g. "vertex v is in the
+  /// public sample S" is coin(tag, p)(v).
+  [[nodiscard]] SharedCoin coin(SharedTag tag, double p) const noexcept {
+    return {stream(tag), p};
+  }
+
   /// Raw 64 pseudo-random bits for (tag, index).
   [[nodiscard]] std::uint64_t value(SharedTag tag, std::uint64_t index = 0) const noexcept {
-    return mix_hash(mix_hash(seed_, tag.a, tag.b), tag.c, index);
+    return stream(tag).value(index);
   }
 
-  /// Uniform double in [0,1) for (tag, index).
-  [[nodiscard]] double uniform(SharedTag tag, std::uint64_t index = 0) const noexcept {
-    return static_cast<double>(value(tag, index) >> 11) * 0x1.0p-53;
-  }
-
-  /// Shared Bernoulli(p) coin for (tag, index) — e.g. "vertex v is in the
-  /// public sample S" uses index = v.
+  /// One shared Bernoulli(p) coin at (tag, index).
   [[nodiscard]] bool bernoulli(SharedTag tag, std::uint64_t index, double p) const noexcept {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return uniform(tag, index) < p;
+    return coin(tag, p)(index);
   }
 
   /// Permutation priority of vertex v under the shared permutation named by
@@ -61,9 +118,7 @@ class SharedRandomness {
 
   /// True iff u precedes v in the shared permutation named by `tag`.
   [[nodiscard]] bool precedes(SharedTag tag, std::uint64_t u, std::uint64_t v) const noexcept {
-    const std::uint64_t pu = priority(tag, u);
-    const std::uint64_t pv = priority(tag, v);
-    return pu != pv ? pu < pv : u < v;
+    return stream(tag).precedes(u, v);
   }
 
   /// Uniform vertex in [0, n) for (tag, index) — shared uniform sampling
@@ -77,7 +132,7 @@ class SharedRandomness {
 
   /// Materialize the shared Bernoulli(p) vertex sample {v : coin(tag,v)=1}.
   /// Provided for referee-side checks and tests; players normally test
-  /// membership lazily via `bernoulli`.
+  /// membership lazily via `coin`.
   [[nodiscard]] std::vector<std::uint32_t> sample_vertices(SharedTag tag, std::uint64_t n,
                                                            double p) const;
 

@@ -27,6 +27,7 @@ bool query_edge(std::span<const PlayerInput> players, Channel t, const Edge& e) 
 std::optional<Vertex> sample_uniform_btilde(std::span<const PlayerInput> players, Channel t,
                                             const SharedRandomness& sr, SharedTag tag,
                                             std::uint32_t bucket) {
+  const SharedStream order = sr.stream(tag);
   std::optional<Vertex> best;
   for (const auto& p : players) {
     // Player-local scan for the first accepted vertex under the shared
@@ -34,12 +35,12 @@ std::optional<Vertex> sample_uniform_btilde(std::span<const PlayerInput> players
     std::optional<Vertex> local_best;
     for (Vertex v = 0; v < p.n(); ++v) {
       if (!in_btilde(p.local_degree(v), bucket, p.k)) continue;
-      if (!local_best || sr.precedes(tag, v, *local_best)) local_best = v;
+      if (!local_best || order.precedes(v, *local_best)) local_best = v;
     }
     t.charge_flag(p.player_id, kUp, phase::kSampleVertex);
     if (local_best) {
       t.charge_vertex(p.player_id, kUp, phase::kSampleVertex);
-      if (!best || sr.precedes(tag, *local_best, *best)) best = *local_best;
+      if (!best || order.precedes(*local_best, *best)) best = *local_best;
     }
   }
   return best;
@@ -48,17 +49,18 @@ std::optional<Vertex> sample_uniform_btilde(std::span<const PlayerInput> players
 std::optional<Vertex> sample_uniform_where(std::span<const PlayerInput> players, Channel t,
                                            const SharedRandomness& sr, SharedTag tag,
                                            bool (*accept)(const PlayerInput&, Vertex)) {
+  const SharedStream order = sr.stream(tag);
   std::optional<Vertex> best;
   for (const auto& p : players) {
     std::optional<Vertex> local_best;
     for (Vertex v = 0; v < p.n(); ++v) {
       if (!accept(p, v)) continue;
-      if (!local_best || sr.precedes(tag, v, *local_best)) local_best = v;
+      if (!local_best || order.precedes(v, *local_best)) local_best = v;
     }
     t.charge_flag(p.player_id, kUp, phase::kSampleVertex);
     if (local_best) {
       t.charge_vertex(p.player_id, kUp, phase::kSampleVertex);
-      if (!best || sr.precedes(tag, *local_best, *best)) best = *local_best;
+      if (!best || order.precedes(*local_best, *best)) best = *local_best;
     }
   }
   return best;
@@ -69,16 +71,17 @@ std::optional<Edge> random_incident_edge(std::span<const PlayerInput> players, C
   // Shared permutation over the n-1 potential endpoints; each player reports
   // its first incident edge under it. The permutation makes the choice
   // uniform over distinct edges regardless of duplication (Section 3.1).
+  const SharedStream order = sr.stream(tag);
   std::optional<Vertex> best;
   for (const auto& p : players) {
     std::optional<Vertex> local_best;
     for (const Vertex w : p.local.neighbors(v)) {
-      if (!local_best || sr.precedes(tag, w, *local_best)) local_best = w;
+      if (!local_best || order.precedes(w, *local_best)) local_best = w;
     }
     t.charge_flag(p.player_id, kUp, phase::kIncidentEdge);
     if (local_best) {
       t.charge_vertex(p.player_id, kUp, phase::kIncidentEdge);
-      if (!best || sr.precedes(tag, *local_best, *best)) best = *local_best;
+      if (!best || order.precedes(*local_best, *best)) best = *local_best;
     }
   }
   if (!best) return std::nullopt;
@@ -90,7 +93,8 @@ std::optional<Edge> random_incident_edge(std::span<const PlayerInput> players, C
 std::optional<Edge> random_edge(std::span<const PlayerInput> players, Channel t,
                                 const SharedRandomness& sr, SharedTag tag) {
   std::optional<Edge> best;
-  const auto edge_priority = [&](const Edge& e) { return sr.value(tag, e.key()); };
+  const SharedStream order = sr.stream(tag);
+  const auto edge_priority = [&order](const Edge& e) { return order.value(e.key()); };
   for (const auto& p : players) {
     std::optional<Edge> local_best;
     for (const Edge& e : p.local.edges()) {
@@ -149,11 +153,12 @@ std::vector<Edge> collect_induced_subgraph(std::span<const PlayerInput> players,
 std::vector<Vertex> collect_sampled_neighbors(std::span<const PlayerInput> players, Channel t,
                                               const SharedRandomness& sr, SharedTag tag, Vertex v,
                                               double p, std::size_t cap) {
+  const SharedCoin in_sample = sr.coin(tag, p);
   std::vector<Vertex> collected;
   for (const auto& pl : players) {
     std::size_t sent = 0;
     for (const Vertex w : pl.local.neighbors(v)) {
-      if (!sr.bernoulli(tag, w, p)) continue;
+      if (!in_sample(w)) continue;
       if (cap != 0 && sent >= cap) break;
       collected.push_back(w);
       ++sent;

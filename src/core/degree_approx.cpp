@@ -32,12 +32,13 @@ std::uint32_t experiments_per_guess(const DegreeApproxOptions& opts, std::uint32
 /// Shared two-phase estimator over an abstract item family.
 /// `LocalCount(j)`  : player j's local item count (with multiplicity removed
 ///                    locally — our inputs are Graphs, so already distinct).
-/// `LocalHit(j, tag, q)` : true iff any of player j's items is selected by
-///                    the shared Bernoulli(q) sample named by `tag`.
+/// `LocalHit(j, coin)` : true iff any of player j's items is selected by
+///                    the shared Bernoulli(q) coin of one experiment.
 template <typename LocalCount, typename LocalHit>
 DegreeApproxResult two_phase_estimate(std::span<const PlayerInput> players, Channel t,
-                                      SharedTag tag, const DegreeApproxOptions& opts,
-                                      LocalCount&& local_count, LocalHit&& local_hit) {
+                                      const SharedRandomness& sr, SharedTag tag,
+                                      const DegreeApproxOptions& opts, LocalCount&& local_count,
+                                      LocalHit&& local_hit) {
   DegreeApproxResult result;
   const auto k = static_cast<std::uint32_t>(players.size());
 
@@ -80,9 +81,10 @@ DegreeApproxResult two_phase_estimate(std::span<const PlayerInput> players, Chan
       for (std::uint32_t r = 0; r < m; ++r) {
         SharedTag exp_tag = tag;
         exp_tag.c = mix_hash(exp_tag.c, result.guesses, r + 1);
+        const SharedCoin coin = sr.coin(exp_tag, q);
         bool any = false;
         for (const auto& p : players) {
-          const bool h = local_hit(p, exp_tag, q);
+          const bool h = local_hit(p, coin);
           t.charge_flag(p.player_id, kUp, phase::kDegreeApprox);
           any = any || h;
         }
@@ -104,11 +106,11 @@ DegreeApproxResult approx_degree(std::span<const PlayerInput> players, Channel t
                                  const DegreeApproxOptions& opts) {
   if (opts.no_duplication) return approx_degree_no_duplication(players, t, v, opts.alpha);
   return two_phase_estimate(
-      players, t, tag, opts,
+      players, t, sr, tag, opts,
       [v](const PlayerInput& p) -> std::uint64_t { return p.local_degree(v); },
-      [v, &sr](const PlayerInput& p, SharedTag exp_tag, double q) {
+      [v](const PlayerInput& p, const SharedCoin& coin) {
         for (const Vertex w : p.local.neighbors(v)) {
-          if (sr.bernoulli(exp_tag, w, q)) return true;
+          if (coin(w)) return true;
         }
         return false;
       });
@@ -150,11 +152,11 @@ DegreeApproxResult approx_distinct_edges(std::span<const PlayerInput> players, C
                                          const SharedRandomness& sr, SharedTag tag,
                                          const DegreeApproxOptions& opts) {
   return two_phase_estimate(
-      players, t, tag, opts,
+      players, t, sr, tag, opts,
       [](const PlayerInput& p) -> std::uint64_t { return p.local.num_edges(); },
-      [&sr](const PlayerInput& p, SharedTag exp_tag, double q) {
+      [](const PlayerInput& p, const SharedCoin& coin) {
         for (const Edge& e : p.local.edges()) {
-          if (sr.bernoulli(exp_tag, e.key(), q)) return true;
+          if (coin(e.key())) return true;
         }
         return false;
       });

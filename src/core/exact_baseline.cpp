@@ -1,7 +1,6 @@
 #include "core/exact_baseline.h"
 
 #include <stdexcept>
-#include <vector>
 
 #include "comm/conformance.h"
 #include "graph/triangles.h"
@@ -16,15 +15,13 @@ ExactResult exact_find_triangle(std::span<const PlayerInput> players) {
   return run_checked(CommModel::kSimultaneous, players.size(), players.front().n(),
                      [&](Channel t) {
                        ExactResult r;
-                       std::vector<Edge> all;
                        for (const auto& p : players) {
                          const auto m = p.local.num_edges();
                          const std::uint64_t bits = count_bits(m) + m * edge_bits(p.n());
                          t.charge(p.player_id, Direction::kPlayerToCoordinator, bits);
                          r.total_bits += bits;
-                         all.insert(all.end(), p.local.edges().begin(), p.local.edges().end());
                        }
-                       const Graph g(players.front().n(), std::move(all));
+                       const Graph g(players.front().n(), union_edges(players));
                        r.triangle = find_triangle(g);
                        return r;
                      });

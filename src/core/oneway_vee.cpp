@@ -18,8 +18,9 @@ std::vector<Vertex> hub_neighbors(const PlayerInput& player, const SharedRandomn
                                   SharedTag tag, Vertex hub, std::uint64_t budget) {
   std::vector<Vertex> ns(player.local.neighbors(hub).begin(), player.local.neighbors(hub).end());
   const std::size_t take = std::min<std::size_t>(budget, ns.size());
+  const SharedStream order = sr.stream(tag);
   std::partial_sort(ns.begin(), ns.begin() + static_cast<std::ptrdiff_t>(take), ns.end(),
-                    [&](Vertex a, Vertex b) { return sr.precedes(tag, a, b); });
+                    [&order](Vertex a, Vertex b) { return order.precedes(a, b); });
   ns.resize(take);
   return ns;
 }

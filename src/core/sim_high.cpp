@@ -27,7 +27,7 @@ SimMessage sim_high_message(const PlayerInput& player, const SimHighOptions& opt
 
   SimMessage msg;
   msg.player_id = player.player_id;
-  const auto in_sample = [&](Vertex v) { return sr.bernoulli(kSetTag, v, p); };
+  const SharedCoin in_sample = sr.coin(kSetTag, p);
   for (const Edge& e : player.local.edges()) {
     if (in_sample(e.u) && in_sample(e.v)) msg.edges.push_back(e);
   }

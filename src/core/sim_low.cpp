@@ -18,8 +18,8 @@ SimMessage sim_low_message_edges(std::span<const Edge> edges, std::size_t player
   const double p1 = std::min(opts.c / d, 1.0);
   const double p2 = std::min(opts.c / std::sqrt(static_cast<double>(n)), 1.0);
 
-  const auto in_s = [&](Vertex v) { return sr.bernoulli(s_tag, v, p1); };
-  const auto in_r = [&](Vertex v) { return sr.bernoulli(r_tag, v, p2); };
+  const SharedCoin in_s = sr.coin(s_tag, p1);
+  const SharedCoin in_r = sr.coin(r_tag, p2);
 
   SimMessage msg;
   msg.player_id = player_id;

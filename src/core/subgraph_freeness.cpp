@@ -182,13 +182,15 @@ SimSubgraphResult sim_subgraph_find(std::span<const PlayerInput> players, const 
   const double s = subgraph_sample_size(n, pattern.n(), opts);
   const double p = s / static_cast<double>(n);
 
+  const SharedCoin in_sample = sr.coin(tag, p);
+
   std::vector<SimMessage> messages;
   messages.reserve(players.size());
   for (const auto& player : players) {
     SimMessage msg;
     msg.player_id = player.player_id;
     for (const Edge& e : player.local.edges()) {
-      if (sr.bernoulli(tag, e.u, p) && sr.bernoulli(tag, e.v, p)) msg.edges.push_back(e);
+      if (in_sample(e.u) && in_sample(e.v)) msg.edges.push_back(e);
     }
     apply_cap(msg, static_cast<std::size_t>(opts.cap_edges_per_player));
     messages.push_back(std::move(msg));

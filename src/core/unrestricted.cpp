@@ -59,20 +59,20 @@ class BucketIndex {
 std::vector<Vertex> topq_btilde(std::span<const PlayerInput> players, const BucketIndex& index,
                                 Channel t, const SharedRandomness& sr, SharedTag tag,
                                 std::uint32_t bucket, std::size_t q) {
+  const SharedStream order = sr.stream(tag);
+  const auto precedes = [&order](Vertex a, Vertex b) { return order.precedes(a, b); };
   std::vector<Vertex> merged;
   for (const auto& p : players) {
     std::vector<Vertex> local = index.list(p.player_id, bucket);
     const std::size_t take = std::min(q, local.size());
     std::partial_sort(local.begin(), local.begin() + static_cast<std::ptrdiff_t>(take),
-                      local.end(),
-                      [&](Vertex a, Vertex b) { return sr.precedes(tag, a, b); });
+                      local.end(), precedes);
     local.resize(take);
     t.charge_count(p.player_id, kUp, take, phase::kSampleVertex);
     t.charge(p.player_id, kUp, take * vertex_bits(p.n()), phase::kSampleVertex);
     merged.insert(merged.end(), local.begin(), local.end());
   }
-  std::sort(merged.begin(), merged.end(),
-            [&](Vertex a, Vertex b) { return sr.precedes(tag, a, b); });
+  std::sort(merged.begin(), merged.end(), precedes);
   merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
   if (merged.size() > q) merged.resize(q);
   return merged;
@@ -93,11 +93,12 @@ std::vector<Vertex> sample_neighbors(std::span<const PlayerInput> players, Chann
                                      const SharedRandomness& sr, SharedTag tag, Vertex v,
                                      double p, std::size_t cap, bool blackboard) {
   if (!blackboard) return collect_sampled_neighbors(players, t, sr, tag, v, p, cap);
+  const SharedCoin in_sample = sr.coin(tag, p);
   std::vector<Vertex> posted;
   for (const auto& pl : players) {
     std::size_t sent = 0;
     for (const Vertex w : pl.local.neighbors(v)) {
-      if (!sr.bernoulli(tag, w, p)) continue;
+      if (!in_sample(w)) continue;
       if (std::find(posted.begin(), posted.end(), w) != posted.end()) continue;
       if (cap != 0 && sent >= cap) break;
       posted.push_back(w);

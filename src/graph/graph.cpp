@@ -17,7 +17,9 @@ Graph::Graph(Vertex n, std::vector<Edge> edges) : n_(n), edges_(std::move(edges)
   for (const Edge& e : edges_) {
     if (e.v >= n_) throw std::invalid_argument("Graph: edge endpoint out of range");
   }
-  std::sort(edges_.begin(), edges_.end());
+  // Generators, partitions and merged unions hand over lists already in
+  // order; only the rest pay for a sort.
+  if (!std::is_sorted(edges_.begin(), edges_.end())) std::sort(edges_.begin(), edges_.end());
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
 
   // Build CSR (both directions).

@@ -1,5 +1,7 @@
 #include "graph/partition.h"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -65,13 +67,34 @@ std::vector<PlayerInput> players_from_slices(Vertex n, std::vector<std::vector<E
   return players;
 }
 
+namespace {
+
+/// set_union of two sorted lists without repeats is their sorted,
+/// deduplicated union.
+std::vector<Edge> merge_sorted(std::span<const Edge> a, std::span<const Edge> b) {
+  std::vector<Edge> out;
+  out.reserve(a.size() + b.size());
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
+  return out;
+}
+
+}  // namespace
+
+std::vector<Edge> union_edges(std::span<const PlayerInput> players) {
+  switch (players.size()) {
+    case 0: return {};
+    case 1: return {players[0].local.edges().begin(), players[0].local.edges().end()};
+    case 2: return merge_sorted(players[0].local.edges(), players[1].local.edges());
+    default: {
+      const std::size_t half = players.size() / 2;
+      return merge_sorted(union_edges(players.first(half)), union_edges(players.subspan(half)));
+    }
+  }
+}
+
 Graph union_graph(const std::vector<PlayerInput>& players) {
   if (players.empty()) return Graph();
-  std::vector<Edge> edges;
-  for (const auto& p : players) {
-    edges.insert(edges.end(), p.local.edges().begin(), p.local.edges().end());
-  }
-  return Graph(players.front().n(), std::move(edges));
+  return Graph(players.front().n(), union_edges(players));
 }
 
 bool is_duplication_free(const std::vector<PlayerInput>& players) {

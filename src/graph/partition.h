@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -61,6 +62,10 @@ struct PartitionOptions {
 /// edge vector is moved straight into that player's Graph.
 [[nodiscard]] std::vector<PlayerInput> players_from_slices(
     Vertex n, std::vector<std::vector<Edge>> slices);
+
+/// The sorted, deduplicated union of the players' edge lists, merged from
+/// their sorted `edges()` without a sort: O(m log k) for m edges in all.
+[[nodiscard]] std::vector<Edge> union_edges(std::span<const PlayerInput> players);
 
 /// Reassemble the union graph from the players' inputs (ground truth for
 /// verification; protocols never call this).

@@ -1,5 +1,6 @@
 #include "service/coordinator.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "comm/channel.h"
@@ -10,6 +11,19 @@ namespace tft::service {
 
 using net::NetError;
 using net::NetErrorKind;
+
+FairSharePick fair_share_pick(std::span<const std::string_view> queued,
+                              std::span<const std::string> rotation, std::size_t cursor) {
+  for (std::size_t off = 0; off < rotation.size(); ++off) {
+    const std::size_t ti = (cursor + off) % rotation.size();
+    // FIFO within a tenant falls out of taking its first match.
+    const auto it = std::find(queued.begin(), queued.end(), rotation[ti]);
+    if (it != queued.end()) {
+      return {static_cast<std::size_t>(it - queued.begin()), (ti + 1) % rotation.size()};
+    }
+  }
+  return {0, cursor};
+}
 
 ServiceReply SessionOutcome::reply() const {
   ServiceReply r;
@@ -104,25 +118,13 @@ std::optional<ServiceCoordinator::Pending> ServiceCoordinator::next_locked(
   queue_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
   if (queue_.empty()) return std::nullopt;  // stop_ with nothing left
   std::size_t pick = 0;
-  if (cfg_.scheduler == SchedulerKind::kFairShare && !tenant_rotation_.empty()) {
-    // Round-robin across tenants: scan the rotation from the cursor for a
-    // tenant with queued work, take its oldest item, park the cursor past
-    // it. FIFO within a tenant falls out of taking the first match.
-    for (std::size_t off = 0; off < tenant_rotation_.size(); ++off) {
-      const std::size_t ti = (rotation_next_ + off) % tenant_rotation_.size();
-      bool found = false;
-      for (std::size_t qi = 0; qi < queue_.size(); ++qi) {
-        if (queue_[qi].spec.tenant == tenant_rotation_[ti]) {
-          pick = qi;
-          found = true;
-          break;
-        }
-      }
-      if (found) {
-        rotation_next_ = (ti + 1) % tenant_rotation_.size();
-        break;
-      }
-    }
+  if (cfg_.scheduler == SchedulerKind::kFairShare) {
+    std::vector<std::string_view> queued;
+    queued.reserve(queue_.size());
+    for (const Pending& q : queue_) queued.emplace_back(q.spec.tenant);
+    const FairSharePick next = fair_share_pick(queued, tenant_rotation_, rotation_next_);
+    pick = next.queue_index;
+    rotation_next_ = next.cursor;
   }
   Pending p = std::move(queue_[pick]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
@@ -135,7 +137,9 @@ void ServiceCoordinator::worker_loop() {
     auto pending = next_locked(lock);
     if (!pending) return;
     ++running_;
+    const auto before_execute = before_execute_;
     lock.unlock();
+    if (before_execute) before_execute(pending->spec);
     SessionOutcome out = execute(pending->spec, pending->wire_id);
     // Release the admission slot BEFORE fulfilling the promise: a client
     // that resubmits the instant its future is ready must find room, or a
@@ -210,6 +214,11 @@ void ServiceCoordinator::drain() {
   std::unique_lock lock(mu_);
   draining_ = true;
   idle_cv_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
+}
+
+void ServiceCoordinator::set_before_execute(std::function<void(const SessionSpec&)> hook) {
+  const std::lock_guard lock(mu_);
+  before_execute_ = std::move(hook);
 }
 
 std::size_t ServiceCoordinator::live_sessions() const {

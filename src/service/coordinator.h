@@ -4,10 +4,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -58,6 +61,21 @@ struct ServiceConfig {
   SchedulerKind scheduler = SchedulerKind::kFifo;
 };
 
+/// One fair-share scheduling decision.
+struct FairSharePick {
+  std::size_t queue_index = 0;  ///< which queued session runs next
+  std::size_t cursor = 0;       ///< the rotation cursor after this pick
+};
+
+/// Fair-share's round-robin as a pure function. `queued` lists the tenant
+/// of every queued session, oldest first; `rotation` lists every tenant in
+/// first-seen order. Scan the rotation from `cursor` for a tenant with
+/// queued work, take its oldest session, and park the cursor just past that
+/// tenant. {0, cursor} when no rotated tenant has queued work.
+[[nodiscard]] FairSharePick fair_share_pick(std::span<const std::string_view> queued,
+                                            std::span<const std::string> rotation,
+                                            std::size_t cursor);
+
 /// One finished session, as the coordinator saw it.
 struct SessionOutcome {
   std::uint32_t session_id = 0;  ///< wire session id (>= 1, submit order)
@@ -91,6 +109,11 @@ class ServiceCoordinator {
   /// Idempotent; called by the destructor.
   void drain();
 
+  /// Test seam: `hook(spec)` runs on the worker just before each session
+  /// executes, while the session holds its admission slot. Tests use it to
+  /// hold a session open or to record the order of service.
+  void set_before_execute(std::function<void(const SessionSpec&)> hook);
+
   [[nodiscard]] std::size_t live_sessions() const;     ///< currently executing
   [[nodiscard]] std::size_t pending_sessions() const;  ///< admitted, not yet done
   [[nodiscard]] std::uint64_t sessions_completed() const;
@@ -118,6 +141,7 @@ class ServiceCoordinator {
   std::deque<Pending> queue_;
   std::vector<std::string> tenant_rotation_;  ///< fair-share cursor state
   std::size_t rotation_next_ = 0;
+  std::function<void(const SessionSpec&)> before_execute_;
   std::uint32_t next_wire_id_ = 1;  ///< 0 is reserved for solo NetSession
   std::size_t running_ = 0;
   std::uint64_t completed_ = 0;

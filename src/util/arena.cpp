@@ -14,34 +14,35 @@ std::size_t align_up(std::size_t v, std::size_t align) noexcept {
 
 void* Arena::allocate(std::size_t bytes, std::size_t align) {
   if (bytes == 0) bytes = 1;
-  while (true) {
-    if (active_ < blocks_.size()) {
-      Block& b = blocks_[active_];
-      const std::size_t start = align_up(used_, align);
-      if (start + bytes <= b.size) {
-        used_ = start + bytes;
-        return b.data + start;
-      }
-      // Active block exhausted: move to the next (pre-existing blocks are
-      // reused after a rewind) or fall through to grow.
-      if (active_ + 1 < blocks_.size() && blocks_[active_ + 1].size >= bytes + align) {
-        ++active_;
-        used_ = 0;
-        continue;
-      }
+  if (active_ < blocks_.size()) {
+    const Block& b = blocks_[active_];
+    const std::size_t start = align_up(used_, align);
+    if (start + bytes <= b.size) {
+      used_ = start + bytes;
+      return b.data + start;
     }
-    add_block(bytes + align);
-    // After add_block the new block is last; make it active. Blocks between
-    // the old active and the new one were too small for this request — skip
-    // them (they'll serve later small requests after the next reset).
-    active_ = blocks_.size() - 1;
-    used_ = 0;
   }
+  // The active block is exhausted. Every block after it is free (a rewind
+  // leaves them behind): take the first that fits, or grow one, and swap it
+  // into the slot after the active block. No marker points past the active
+  // block, so the swap moves none.
+  const std::size_t next = blocks_.empty() ? 0 : active_ + 1;
+  std::size_t fit = next;
+  while (fit < blocks_.size() && blocks_[fit].size < bytes) ++fit;
+  if (fit == blocks_.size()) add_block(bytes);
+  std::swap(blocks_[next], blocks_[fit]);
+  active_ = next;
+  // Blocks are 64-byte aligned, so offset 0 meets any supported alignment.
+  used_ = bytes;
+  return blocks_[next].data;
 }
 
 void Arena::add_block(std::size_t min_bytes) {
-  std::size_t size = blocks_.empty() ? kMinBlockBytes
-                                     : std::min(blocks_.back().size * 2, kMaxBlockBytes);
+  // Double the largest block: swaps in allocate() reorder blocks, so the
+  // last one need not be the largest.
+  std::size_t largest = 0;
+  for (const Block& b : blocks_) largest = std::max(largest, b.size);
+  std::size_t size = blocks_.empty() ? kMinBlockBytes : std::min(largest * 2, kMaxBlockBytes);
   if (size < min_bytes) size = align_up(min_bytes, std::size_t{4} << 10);
   auto* data = static_cast<std::byte*>(::operator new(size, std::align_val_t{64}));
   arena_charge(size);

@@ -30,6 +30,19 @@ namespace tft {
   return z ^ (z >> 31);
 }
 
+/// The rounds of mix_hash(a, b, c) that do not read c. A caller hashing
+/// many c under one (a, b) computes this once and finishes each c with
+/// `mix_hash_last`.
+[[nodiscard]] constexpr std::uint64_t mix_hash_prefix(std::uint64_t a, std::uint64_t b) noexcept {
+  return fmix64(fmix64(a + 0x9e3779b97f4a7c15ULL) ^ (b + 0x9e3779b97f4a7c15ULL));
+}
+
+/// The last round of mix_hash: the one that reads c.
+[[nodiscard]] constexpr std::uint64_t mix_hash_last(std::uint64_t prefix,
+                                                    std::uint64_t c) noexcept {
+  return fmix64(prefix ^ (c + 0x94d049bb133111ebULL));
+}
+
 /// Stateless keyed mixer: a pure pseudo-random function of its inputs.
 /// Used to implement shared random permutations, vertex sampling and
 /// Bernoulli coins that all players evaluate identically. Every input gets
@@ -38,10 +51,7 @@ namespace tft {
 /// arguments), which a single multiply-avalanche does not deliver.
 [[nodiscard]] constexpr std::uint64_t mix_hash(std::uint64_t a, std::uint64_t b,
                                                std::uint64_t c = 0) noexcept {
-  std::uint64_t s = fmix64(a + 0x9e3779b97f4a7c15ULL);
-  s = fmix64(s ^ (b + 0x9e3779b97f4a7c15ULL));
-  s = fmix64(s ^ (c + 0x94d049bb133111ebULL));
-  return s;
+  return mix_hash_last(mix_hash_prefix(a, b), c);
 }
 
 /// xoshiro256** generator. Satisfies UniformRandomBitGenerator so it can be

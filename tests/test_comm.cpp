@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "comm/cost.h"
@@ -220,6 +223,137 @@ TEST(SharedRandomness, SampleVerticesMatchesBernoulli) {
   EXPECT_TRUE(std::is_sorted(sample.begin(), sample.end()));
   for (const auto v : sample) EXPECT_TRUE(sr.bernoulli(tag, v, 0.2));
   EXPECT_NEAR(static_cast<double>(sample.size()), 200.0, 60.0);
+  EXPECT_TRUE(sr.sample_vertices(tag, 1000, std::numeric_limits<double>::quiet_NaN()).empty());
+}
+
+// ---- shared coins against the reference formula ----------------------------
+
+/// mix_hash as first written, round by round, so the hoisted stream is
+/// checked against the formula rather than against itself.
+std::uint64_t reference_mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+  std::uint64_t s = fmix64(a + 0x9e3779b97f4a7c15ULL);
+  s = fmix64(s ^ (b + 0x9e3779b97f4a7c15ULL));
+  return fmix64(s ^ (c + 0x94d049bb133111ebULL));
+}
+
+std::uint64_t reference_value(std::uint64_t seed, SharedTag tag, std::uint64_t index) {
+  return reference_mix(reference_mix(seed, tag.a, tag.b), tag.c, index);
+}
+
+/// The real-valued coin: also false for p <= 0 and NaN, true for p >= 1.
+bool reference_coin(std::uint64_t h, double p) {
+  return static_cast<double>(h >> 11) * 0x1.0p-53 < p;
+}
+
+/// fmix64 is a bijection: undo its xor-shifts and odd multiplications.
+std::uint64_t undo_xorshift(std::uint64_t z, int shift) {
+  std::uint64_t x = z;
+  for (int i = 0; i <= 64 / shift; ++i) x = z ^ (x >> shift);
+  return x;
+}
+
+std::uint64_t inverse_mod_2_64(std::uint64_t odd) {
+  std::uint64_t x = odd;  // correct to 3 bits; each Newton step doubles that
+  for (int i = 0; i < 5; ++i) x *= 2 - odd * x;
+  return x;
+}
+
+std::uint64_t inverse_fmix64(std::uint64_t z) {
+  z = undo_xorshift(z, 31);
+  z *= inverse_mod_2_64(0x94d049bb133111ebULL);
+  z = undo_xorshift(z, 27);
+  z *= inverse_mod_2_64(0xbf58476d1ce4e5b9ULL);
+  return undo_xorshift(z, 30);
+}
+
+/// The index whose reference value under (seed, tag) is exactly h, so a
+/// test can put a coin's 53 bits anywhere it likes.
+std::uint64_t index_with_value(std::uint64_t seed, SharedTag tag, std::uint64_t h) {
+  const std::uint64_t outer = reference_mix(seed, tag.a, tag.b);
+  const std::uint64_t prefix =
+      fmix64(fmix64(outer + 0x9e3779b97f4a7c15ULL) ^ (tag.c + 0x9e3779b97f4a7c15ULL));
+  return (inverse_fmix64(h) ^ prefix) - 0x94d049bb133111ebULL;
+}
+
+/// Probabilities at the coin's edges: signed zero, NaN, the smallest
+/// denormal, one step either side of 0 and 1, exact multiples of 2^-53, and
+/// values whose scaled form is not an integer.
+std::vector<double> edge_probabilities() {
+  return {0.0,
+          -0.0,
+          std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::denorm_min(),
+          0x1.0p-53,
+          3 * 0x1.0p-53,
+          12345 * 0x1.0p-53,
+          0x1.0p-20,
+          0.25,
+          0.5,
+          std::nextafter(0.5, 0.0),
+          0.1,
+          1.0 / 3.0,
+          1.0 - 0x1.0p-53,
+          1.0,
+          1.5,
+          -1.0,
+          std::numeric_limits<double>::infinity()};
+}
+
+TEST(SharedCoin, MatchesTheReferenceFormula) {
+  Rng rng(0xC011);
+  std::vector<double> ps = edge_probabilities();
+  for (int i = 0; i < 8; ++i) ps.push_back(rng.uniform());
+  for (int trial = 0; trial < 64; ++trial) {
+    const std::uint64_t seed = rng();
+    const SharedTag tag{rng(), rng(), rng()};
+    const SharedRandomness sr(seed);
+    const SharedStream stream = sr.stream(tag);
+    for (int j = 0; j < 32; ++j) {
+      const std::uint64_t index = j < 16 ? static_cast<std::uint64_t>(j) : rng();
+      const std::uint64_t h = reference_value(seed, tag, index);
+      ASSERT_EQ(sr.value(tag, index), h);
+      ASSERT_EQ(sr.priority(tag, index), h);
+      ASSERT_EQ(stream.value(index), h);
+      const std::uint64_t other = rng();
+      const std::uint64_t h_other = reference_value(seed, tag, other);
+      const bool before = h != h_other ? h < h_other : index < other;
+      ASSERT_EQ(sr.precedes(tag, index, other), before);
+      for (const double p : ps) {
+        ASSERT_EQ(sr.coin(tag, p)(index), reference_coin(h, p)) << "p=" << p;
+        ASSERT_EQ(sr.bernoulli(tag, index, p), reference_coin(h, p)) << "p=" << p;
+      }
+    }
+  }
+}
+
+/// Random indices almost never land next to the threshold, so build the
+/// indices whose 53 coin bits sit exactly on either side of p * 2^53.
+TEST(SharedCoin, AgreesWithTheReferenceAtTheThreshold) {
+  Rng rng(0x7E5);
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  std::vector<double> ps = edge_probabilities();
+  for (int i = 0; i < 32; ++i) ps.push_back(rng.uniform());
+  for (int i = 0; i < 32; ++i) ps.push_back(static_cast<double>(rng.below(kTop)) * 0x1.0p-53);
+  const std::uint64_t seed = 0xFEED;
+  const SharedTag tag{5, 6, 7};
+  const SharedRandomness sr(seed);
+  for (const double p : ps) {
+    std::vector<std::uint64_t> tops{0, 1, kTop - 2, kTop - 1};
+    if (p > 0.0 && p < 1.0) {
+      const auto floor_scaled = static_cast<std::uint64_t>(std::floor(p * 0x1.0p53));
+      for (std::uint64_t d = 0; d < 3; ++d) {
+        if (floor_scaled + d >= 1) tops.push_back(floor_scaled + d - 1);
+      }
+    }
+    const SharedCoin coin = sr.coin(tag, p);
+    for (const std::uint64_t top : tops) {
+      if (top >= kTop) continue;
+      const std::uint64_t h = (top << 11) | rng.below(1 << 11);
+      const std::uint64_t index = index_with_value(seed, tag, h);
+      ASSERT_EQ(sr.value(tag, index), h) << "index construction";
+      EXPECT_EQ(coin(index), reference_coin(h, p)) << "p=" << p << " top=" << top;
+    }
+  }
 }
 
 TEST(CommModel, EveryTagHasAName) {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "graph/graph.h"
+#include "proptest.h"
 
 namespace tft {
 namespace {
@@ -90,6 +92,31 @@ TEST(Graph, EdgesAreSortedUnique) {
   const Graph g(6, {{5, 4}, {1, 0}, {3, 2}, {0, 1}});
   EXPECT_EQ(g.num_edges(), 3u);
   EXPECT_TRUE(std::is_sorted(g.edges().begin(), g.edges().end()));
+}
+
+/// A sorted edge list skips the constructor's sort; any other list takes
+/// it. Both must build the same graph: equal edge list, degrees (the CSR
+/// offsets) and neighbor lists.
+TEST(Graph, SortedAndShuffledInputsBuildTheSameGraph) {
+  const auto result = proptest::check(0x5EED5, 300, [](const proptest::GraphCase& c) {
+    std::vector<Edge> sorted = c.edges;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<Edge> shuffled = sorted;
+    Rng rng(c.seed);
+    for (std::size_t i = 0; i < sorted.size(); i += 3) shuffled.push_back(sorted[i]);
+    for (Vertex v = 0; v < c.n; v += 7) shuffled.emplace_back(v, v);
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    const Graph a(c.n, sorted);
+    const Graph b(c.n, shuffled);
+    if (!std::ranges::equal(a.edges(), b.edges())) return proptest::PropOutcome{false, "edges"};
+    for (Vertex v = 0; v < c.n; ++v) {
+      if (a.degree(v) != b.degree(v) || !std::ranges::equal(a.neighbors(v), b.neighbors(v))) {
+        return proptest::PropOutcome{false, "row " + std::to_string(v)};
+      }
+    }
+    return proptest::PropOutcome{};
+  });
+  EXPECT_TRUE(result.ok) << result.to_string();
 }
 
 }  // namespace

@@ -85,6 +85,29 @@ TEST(Arena, GrowsAcrossBlocksAndServesLargeRequests) {
   EXPECT_GE(arena.capacity_bytes(), 3u << 20);
 }
 
+/// After a rewind every block past the active one is free, and a request
+/// must take the first of them that fits, not just try the next one. One
+/// scope leaves 64, 128 and 256 KiB blocks behind; each later scope asks
+/// for 200 KiB, which only the 256 KiB block holds.
+TEST(Arena, AnyLaterFreeBlockServesARequestAfterRewind) {
+  Arena arena;
+  {
+    ArenaScope scope(arena);
+    (void)arena.alloc<std::byte>(60 << 10);
+    (void)arena.alloc<std::byte>(100 << 10);
+    (void)arena.alloc<std::byte>(200 << 10);
+  }
+  const std::size_t grown = arena.capacity_bytes();
+  ASSERT_EQ(grown, std::size_t{448} << 10);
+  for (int i = 0; i < 20; ++i) {
+    ArenaScope scope(arena);
+    auto s = arena.alloc<std::byte>(200 << 10);
+    s[0] = std::byte{1};
+    s[s.size() - 1] = std::byte{2};
+  }
+  EXPECT_EQ(arena.capacity_bytes(), grown);
+}
+
 TEST(Arena, ChargesTheProcessArenaCounters) {
   const std::uint64_t before = arena_bytes();
   {

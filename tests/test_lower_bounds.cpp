@@ -8,6 +8,8 @@
 #include "lower_bounds/budget_search.h"
 #include "lower_bounds/embedding.h"
 #include "lower_bounds/mu_distribution.h"
+#include "util/arena.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -42,6 +44,25 @@ TEST(Mu, Lemma45FarnessHoldsEmpirically) {
   const auto stats = mu_farness_stats(500, 0.9, 20, 1.0 / 48.0, 7);
   EXPECT_GE(stats.far_fraction(), 0.5);
   EXPECT_GT(stats.mean_packing, stats.threshold);
+}
+
+/// The researcher's loop: mu_farness_stats called again and again on one
+/// thread draws a new instance per trial, and the packing's scratch must
+/// come back to that thread's arena each time, so its capacity stays flat.
+TEST(Mu, RepeatedFarnessStatsKeepTheThreadArenaFlat) {
+  const int prev = default_threads();
+  set_default_threads(1);  // every trial runs on this thread, in its arena
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {  // warm up
+    (void)mu_farness_stats(600, 0.9, 1, 1.0 / 48.0, seed);
+  }
+  const std::size_t before = thread_arena().capacity_bytes();
+  for (std::uint64_t seed = 3; seed < 23; ++seed) {
+    (void)mu_farness_stats(600, 0.9, 1, 1.0 / 48.0, seed);
+  }
+  const std::size_t after = thread_arena().capacity_bytes();
+  set_default_threads(prev);
+  EXPECT_EQ(after, before) << "thread arena grew by " << (after - before) / 1024
+                           << " KiB over 20 calls";
 }
 
 TEST(Mu, ExpectedTriangleScaling) {

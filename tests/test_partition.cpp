@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/generators.h"
 #include "graph/partition.h"
 #include "util/rng.h"
@@ -33,6 +36,27 @@ TEST(Partition, UnionReconstructsGraph) {
   const Graph u = union_graph(players);
   ASSERT_EQ(u.num_edges(), g.num_edges());
   for (std::size_t i = 0; i < g.num_edges(); ++i) EXPECT_EQ(u.edge(i), g.edge(i));
+}
+
+/// The referee's union is a k-way merge of sorted lists; it must equal the
+/// sorted, deduplicated concatenation it replaced, for any k and any
+/// amount of duplication.
+TEST(Partition, MergedUnionEqualsSortedConcatenation) {
+  Rng rng(6);
+  for (const std::size_t k : {1u, 2u, 3u, 4u, 5u, 7u, 8u}) {
+    for (const double dup : {1.0, 1.5, 3.0}) {
+      const Graph g = gen::gnp(300, 0.04, rng);
+      const auto players = partition_duplicated(g, k, std::min<double>(dup, k), rng);
+      std::vector<Edge> concatenated;
+      for (const auto& p : players) {
+        concatenated.insert(concatenated.end(), p.local.edges().begin(), p.local.edges().end());
+      }
+      std::sort(concatenated.begin(), concatenated.end());
+      concatenated.erase(std::unique(concatenated.begin(), concatenated.end()),
+                         concatenated.end());
+      EXPECT_EQ(union_edges(players), concatenated) << "k=" << k << " dup=" << dup;
+    }
+  }
 }
 
 TEST(Partition, DuplicationFactorIsRespected) {

@@ -4,17 +4,27 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <future>
+#include <mutex>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "comm/wire.h"
 #include "net/error.h"
+#include "net/frame.h"
 #include "net/runtime.h"
 #include "net/transport.h"
 #include "service/coordinator.h"
@@ -170,30 +180,99 @@ TEST(ServiceCoordinatorTest, RejectsPastCapacityWithTypedBusy) {
   EXPECT_NE(out.status, ReplyStatus::kError) << out.error;
 }
 
+/// A gate a test closes on the coordinator's worker and opens from the test
+/// thread: `wait_entered` returns once the worker is inside, and the worker
+/// stays there until `open` (or the gate's end, so a failing test cannot
+/// leave the worker stuck).
+class WorkerGate {
+ public:
+  WorkerGate() = default;
+  WorkerGate(const WorkerGate&) = delete;
+  WorkerGate& operator=(const WorkerGate&) = delete;
+  ~WorkerGate() { open(); }
+
+  void hold() {
+    entered_.set_value();
+    opened_.wait();
+  }
+  void wait_entered() { entered_future_.wait(); }
+  void open() {
+    if (!is_open_.exchange(true)) open_.set_value();
+  }
+
+ private:
+  std::promise<void> entered_;
+  std::shared_future<void> entered_future_ = entered_.get_future().share();
+  std::promise<void> open_;
+  std::shared_future<void> opened_ = open_.get_future().share();
+  std::atomic<bool> is_open_{false};
+};
+
+TEST(ServiceCoordinatorTest, FairSharePickRoundRobinsAcrossTenants) {
+  using Queued = std::vector<std::string_view>;
+  const std::vector<std::string> ab{"a", "b"};
+  // Tenant a was just served (cursor past a), then a, a, b queued: the lone
+  // b goes next, and a's oldest after it.
+  FairSharePick pick = fair_share_pick(Queued{"a", "a", "b"}, ab, 1);
+  EXPECT_EQ(pick.queue_index, 2u);
+  EXPECT_EQ(pick.cursor, 0u);
+  pick = fair_share_pick(Queued{"a", "a"}, ab, pick.cursor);
+  EXPECT_EQ(pick.queue_index, 0u);
+  EXPECT_EQ(pick.cursor, 1u);
+  // The cursor's tenant has nothing queued: the scan wraps to the next one.
+  pick = fair_share_pick(Queued{"a", "a"}, ab, 1);
+  EXPECT_EQ(pick.queue_index, 0u);
+  EXPECT_EQ(pick.cursor, 1u);
+  // FIFO within a tenant: b's oldest item, not its newest.
+  pick = fair_share_pick(Queued{"c", "b", "a", "b"}, std::vector<std::string>{"a", "b", "c"}, 1);
+  EXPECT_EQ(pick.queue_index, 1u);
+  EXPECT_EQ(pick.cursor, 2u);
+  // Three tenants from the last: c, then the scan wraps to a.
+  pick = fair_share_pick(Queued{"a", "c"}, std::vector<std::string>{"a", "b", "c"}, 2);
+  EXPECT_EQ(pick.queue_index, 1u);
+  EXPECT_EQ(pick.cursor, 0u);
+  // No rotation at all: the oldest item, cursor unchanged.
+  pick = fair_share_pick(Queued{"x", "y"}, std::vector<std::string>{}, 3);
+  EXPECT_EQ(pick.queue_index, 0u);
+  EXPECT_EQ(pick.cursor, 3u);
+}
+
 TEST(ServiceCoordinatorTest, FairShareRoundRobinsAcrossTenants) {
   ServiceConfig cfg = inproc_config(/*live=*/1, /*pending=*/8);
   cfg.scheduler = SchedulerKind::kFairShare;
   ServiceCoordinator coordinator(cfg);
 
-  // Pin the single worker on a slow tenant-a session, then queue a, a, b.
-  // Round-robin resumes after "a": the lone b runs before both queued a's.
-  SessionSpec slow = small_spec(1, "a");
-  slow.n = 6000;
-  auto pin = coordinator.submit(slow);
+  // Hold the single worker inside a tenant-a session while a, a, b queue up,
+  // and record the order in which the worker takes sessions.
+  WorkerGate gate;
+  std::mutex order_mu;
+  std::vector<std::uint64_t> served;
+  coordinator.set_before_execute([&](const SessionSpec& spec) {
+    {
+      const std::lock_guard lock(order_mu);
+      served.push_back(spec.seed);
+    }
+    if (spec.seed == 1) gate.hold();
+  });
+  auto pin = coordinator.submit(small_spec(1, "a"));
+  gate.wait_entered();
   auto a1 = coordinator.submit(small_spec(2, "a"));
   auto a2 = coordinator.submit(small_spec(3, "a"));
   auto b1 = coordinator.submit(small_spec(4, "b"));
+  gate.open();
 
-  (void)b1.get();  // b's turn comes first...
-  using namespace std::chrono_literals;
-  const bool a_done_before_b =
-      a1.wait_for(0s) == std::future_status::ready && a2.wait_for(0s) == std::future_status::ready;
-  EXPECT_FALSE(a_done_before_b) << "fair-share must not serve tenant a twice before b";
-  for (auto* f : {&pin, &a1, &a2}) {
+  for (auto* f : {&pin, &a1, &a2, &b1}) {
     const SessionOutcome out = f->get();
     EXPECT_NE(out.status, ReplyStatus::kError) << out.error;
     EXPECT_TRUE(out.accounting_exact);
   }
+  ASSERT_EQ(served.size(), 4u);
+  EXPECT_EQ(served.front(), 1u);
+  const auto turn = [&served](std::uint64_t seed) {
+    return std::find(served.begin(), served.end(), seed) - served.begin();
+  };
+  EXPECT_LT(turn(4), turn(3)) << "fair-share must not serve tenant a twice before b";
+  EXPECT_LT(turn(2), turn(3)) << "FIFO within tenant a";
 }
 
 TEST(ServiceCoordinatorTest, DrainStopsAdmissionTyped) {
@@ -348,28 +427,29 @@ TEST(ServiceSpec, RejectsNonCanonicalV2WithZeroAffinity) {
 
 // ---- client retry -----------------------------------------------------------
 
-/// request_with_retry against a capacity-1 daemon: a zero-budget call
-/// surfaces the typed kBusy reply (the exit-2 path), while a budgeted call
-/// outlasts the busy window and lands a real verdict once the slot frees.
+/// request_with_retry against a capacity-1 daemon: while a held occupant
+/// keeps the only admission slot, a zero-budget call surfaces the typed
+/// kBusy reply (the exit-2 path); once the hold is released, a budgeted
+/// call outlasts the busy window and lands a real verdict.
 TEST(ServiceDaemonTest, RetryOutlastsABusyWindow) {
   if (!net::LoopbackSocketTransport::available()) {
     GTEST_SKIP() << "no loopback networking in this environment";
   }
   ServiceDaemon daemon(inproc_config(/*live=*/1, /*pending=*/1));
+  WorkerGate gate;
+  daemon.coordinator().set_before_execute([&](const SessionSpec& spec) {
+    if (spec.seed == 31) gate.hold();
+  });
 
-  // A slow occupant holds the only admission slot while we probe.
-  SessionSpec slow = small_spec(31);
-  slow.n = 4000;
   ServiceReply occupant_reply;
-  std::thread occupant([&] { occupant_reply = request(daemon.port(), slow); });
-  while (daemon.coordinator().live_sessions() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  std::thread occupant([&] { occupant_reply = request(daemon.port(), small_spec(31)); });
+  gate.wait_entered();
 
   // retries=0 is a plain request: the busy window is observable, typed.
   const ServiceReply busy = request_with_retry(daemon.port(), small_spec(32), 0, 1);
   EXPECT_EQ(busy.status, ReplyStatus::kBusy);
   EXPECT_FALSE(busy.error.empty()) << "a busy reply should say what was full";
+  gate.open();
 
   // A budgeted retry converges once the occupant completes.
   const ServiceReply ok = request_with_retry(daemon.port(), small_spec(33), 400, 5);
@@ -380,6 +460,118 @@ TEST(ServiceDaemonTest, RetryOutlastsABusyWindow) {
   occupant.join();
   EXPECT_NE(occupant_reply.status, ReplyStatus::kBusy) << occupant_reply.error;
   EXPECT_NE(occupant_reply.status, ReplyStatus::kError) << occupant_reply.error;
+}
+
+/// A loopback server speaking the daemon's blob framing
+/// (`[u32 LE len] [bytes] [u32 LE crc32(bytes)]`) that answers its first
+/// `busy` requests with kBusy and every later one with a verdict.
+class ScriptedBusyServer {
+ public:
+  explicit ScriptedBusyServer(std::size_t busy) : busy_(busy) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (listen_fd_ < 0 || ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len) < 0 ||
+        ::listen(listen_fd_, 8) < 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
+      if (listen_fd_ >= 0) (void)::close(listen_fd_);
+      throw std::runtime_error("scripted server: cannot listen on loopback");
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { serve(); });
+  }
+  ScriptedBusyServer(const ScriptedBusyServer&) = delete;
+  ScriptedBusyServer& operator=(const ScriptedBusyServer&) = delete;
+  ~ScriptedBusyServer() {
+    (void)::shutdown(listen_fd_, SHUT_RDWR);  // fails a blocked accept(2)
+    thread_.join();
+    (void)::close(listen_fd_);
+  }
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::size_t requests() const { return requests_.load(); }
+
+ private:
+  static bool read_exact(int fd, std::uint8_t* data, std::size_t len) {
+    while (len > 0) {
+      const ssize_t n = ::read(fd, data, len);
+      if (n <= 0) return false;
+      data += n;
+      len -= static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  static std::uint32_t le32(const std::uint8_t* p) {
+    return p[0] | (p[1] << 8) | (p[2] << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
+  }
+
+  static void put_le32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+
+  void serve() {
+    while (true) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      std::uint8_t prefix[4];
+      std::vector<std::uint8_t> spec;
+      std::uint8_t trailer[4];
+      if (read_exact(fd, prefix, 4)) {
+        spec.resize(le32(prefix));
+        if (read_exact(fd, spec.data(), spec.size()) && read_exact(fd, trailer, 4) &&
+            le32(trailer) == net::crc32(spec)) {
+          (void)decode_spec(spec);
+          ServiceReply reply;
+          if (requests_.fetch_add(1) < busy_) {
+            reply.status = ReplyStatus::kBusy;
+            reply.error = "scripted busy";
+          } else {
+            reply.status = ReplyStatus::kTriangleFree;
+            reply.accounting_exact = true;
+          }
+          const std::vector<std::uint8_t> body = encode_reply(reply);
+          std::vector<std::uint8_t> out;
+          put_le32(out, static_cast<std::uint32_t>(body.size()));
+          out.insert(out.end(), body.begin(), body.end());
+          put_le32(out, net::crc32(body));
+          (void)::write(fd, out.data(), out.size());
+        }
+      }
+      (void)::close(fd);
+    }
+  }
+
+  std::size_t busy_;
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::atomic<std::size_t> requests_{0};
+  std::thread thread_;
+};
+
+/// request_with_retry converges on the first non-busy reply, after exactly
+/// as many re-requests as the server said busy; a budget too small for the
+/// busy run hands back the last kBusy reply.
+TEST(ServiceClientTest, RetryConvergesAfterAFixedBusyRun) {
+  if (!net::LoopbackSocketTransport::available()) {
+    GTEST_SKIP() << "no loopback networking in this environment";
+  }
+  {
+    ScriptedBusyServer server(/*busy=*/3);
+    const ServiceReply ok = request_with_retry(server.port(), small_spec(1), 10, 1);
+    EXPECT_EQ(ok.status, ReplyStatus::kTriangleFree) << ok.error;
+    EXPECT_TRUE(ok.accounting_exact);
+    EXPECT_EQ(server.requests(), 4u);
+  }
+  {
+    ScriptedBusyServer server(/*busy=*/5);
+    const ServiceReply busy = request_with_retry(server.port(), small_spec(2), 2, 1);
+    EXPECT_EQ(busy.status, ReplyStatus::kBusy);
+    EXPECT_EQ(busy.error, "scripted busy");
+    EXPECT_EQ(server.requests(), 3u);
+  }
 }
 
 }  // namespace
