@@ -28,7 +28,6 @@ using namespace tft;
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   bench::configure_threads(flags);
-  const bench::SweepContext sweep(flags);  // installs --pool/--cache for A/B parity
   bench::JsonRows json(flags, "information");
   const auto side = static_cast<Vertex>(flags.get_int("side", 10));
   const double gamma = flags.get_double("gamma", 1.2);

@@ -101,7 +101,6 @@ void bench_family(const char* name, const Graph& g, int trials) {
 struct SweepConfig {
   const char* name;
   bool cache;
-  bool pool;
   bool memo;
   bool monotone;
   bool early;
@@ -112,7 +111,6 @@ struct SweepConfig {
 double run_sweep(const bench::SweepContext& sweep, const SweepConfig& cfg,
                  BudgetSearchResult* out) {
   set_instance_caching(cfg.cache);
-  set_buffer_pooling(cfg.pool);
   InstanceCache::global().clear();
   constexpr Vertex kSide = 512;
   constexpr std::uint64_t kSeed = 0x5EED;
@@ -308,10 +306,10 @@ int main(int argc, char** argv) {
   std::printf("\n-- sweep layer: min-budget search, one-way vee on mu(side=512) --\n");
   {
     const SweepConfig configs[] = {
-        {"all_off", false, false, false, false, false},
-        {"cache_only", true, false, false, false, false},
-        {"memo_monotone", false, false, true, true, false},
-        {"all_on", true, true, true, true, true},
+        {"all_off", false, false, false, false},
+        {"cache_only", true, false, false, false},
+        {"memo_monotone", false, true, true, false},
+        {"all_on", true, true, true, true},
     };
     BudgetSearchResult baseline;
     double baseline_s = 0.0;
@@ -351,7 +349,6 @@ int main(int argc, char** argv) {
     }
     // Restore the flag-selected switches for any code running after us.
     set_instance_caching(flags.get_bool("cache", true));
-    set_buffer_pooling(flags.get_bool("pool", true));
     const double speedup = baseline_s / all_on_s;
     std::printf("sweep speedup (all_on vs all_off): %.1fx  [floor: 3.0x]\n", speedup);
     if (!identical) {

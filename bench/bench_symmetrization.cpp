@@ -24,9 +24,6 @@ using namespace tft;
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   bench::configure_threads(flags);  // run_symmetrization fans trials internally
-  // The reduction runs every protocol through run_checked, so --pool=0|1
-  // A/Bs transcript pooling here even though no budget search is involved.
-  const bench::SweepContext sweep(flags);
   bench::JsonRows json(flags, "symmetrization");
   const std::size_t trials = static_cast<std::size_t>(flags.get_int("trials", 60));
   const Vertex n = static_cast<Vertex>(flags.get_int("n", 2048));

@@ -17,7 +17,6 @@
 #include "util/flags.h"
 #include "util/parallel.h"
 #include "util/mem.h"
-#include "util/pool.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -51,10 +50,9 @@ inline void configure_threads(const Flags& flags) {
 }
 
 /// Sweep-layer wiring shared by the budget-driven benches: installs the
-/// instance cache, transcript pooling and adaptive budget search behind
-/// bench flags so any layer can be A/B'd off without rebuilding:
+/// instance cache and adaptive budget search behind bench flags so either
+/// layer can be A/B'd off without rebuilding:
 ///   --cache=0|1     instance cache on/off          (default 1)
-///   --pool=0|1      transcript pooling on/off      (default 1)
 ///   --adaptive=0|1  adaptive budget search on/off  (default 1)
 ///   --cache_mb=N    instance cache byte budget     (default 256 MiB)
 ///   --chunked=0|1   chunked instance generation    (default 0)
@@ -72,12 +70,10 @@ class SweepContext {
         chunked_(flags.get_bool("chunked", false)),
         chunks_(static_cast<std::uint64_t>(flags.get_int("chunks", 8))) {
     set_instance_caching(flags.get_bool("cache", true));
-    set_buffer_pooling(flags.get_bool("pool", true));
     auto& cache = InstanceCache::global();
     cache.set_byte_budget(static_cast<std::size_t>(flags.get_int("cache_mb", 256)) << 20);
     cache.clear();
     cache.reset_stats();
-    reset_pool_stats();
   }
 
   [[nodiscard]] bool adaptive() const noexcept { return adaptive_; }

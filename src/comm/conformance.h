@@ -11,7 +11,6 @@
 #include "comm/channel.h"
 #include "comm/model.h"
 #include "comm/transcript.h"
-#include "util/pool.h"
 
 /// \file conformance.h
 /// The model-conformance referee: replays a Transcript's MessageEvent
@@ -147,17 +146,9 @@ void detail_capture_run(CommModel model, const Transcript& t);
 /// bookkeeping) or executed mode (net::NetSession sink: every charge ships
 /// a real serialized frame, and the runtime cross-checks delivered wire
 /// bits against this transcript).
-/// The run's Transcript comes from the per-thread pool (util/pool.h): trial
-/// loops reuse the retired transcript's tally and event storage instead of
-/// reallocating per run. Pooled transcripts are reset to the
-/// freshly-constructed state first, so results are byte-identical with
-/// pooling on or off.
 template <typename Fn>
 auto run_checked(CommModel model, std::size_t num_players, std::uint64_t universe_n, Fn&& body) {
-  auto lease = acquire_pooled<Transcript>(
-      [&] { return std::make_unique<Transcript>(num_players, universe_n); },
-      [&](Transcript& pooled) { pooled.reset(num_players, universe_n); });
-  Transcript& t = *lease;
+  Transcript t(num_players, universe_n);
   t.set_record_events(conformance_checking() || detail::capture_active());
   static_assert(!std::is_void_v<std::invoke_result_t<Fn&, Channel>>,
                 "run_checked bodies return the protocol result");

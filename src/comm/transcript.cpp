@@ -63,16 +63,4 @@ void Transcript::merge(const Transcript& other) {
   events_.insert(events_.end(), other.events_.begin(), other.events_.end());
 }
 
-void Transcript::reset(std::size_t num_players, std::uint64_t universe_n) {
-  universe_n_ = universe_n;
-  total_bits_ = 0;
-  up_bits_.assign(num_players, 0);
-  down_bits_.assign(num_players, 0);
-  up_msgs_.assign(num_players, 0);
-  down_msgs_.assign(num_players, 0);
-  events_.clear();
-  phase_bits_.clear();
-  record_events_ = true;
-}
-
 }  // namespace tft

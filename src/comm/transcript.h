@@ -87,18 +87,6 @@ class Transcript {
   /// totals exactly.
   void merge(const Transcript& other);
 
-  /// Re-initialize to the freshly-constructed state for (num_players,
-  /// universe_n) while keeping the vectors' capacity, so a pooled transcript
-  /// (util/pool.h) reuses its event/tally storage across runs instead of
-  /// reallocating. A reset transcript is indistinguishable from a
-  /// newly-constructed one in every observable way.
-  void reset(std::size_t num_players, std::uint64_t universe_n);
-
-  /// Pre-reserve capacity for `hint` recorded events (no-op on the tallies).
-  void reserve_events(std::size_t hint) { events_.reserve(hint); }
-  /// Capacity currently backing the event vector (pool sizing/telemetry).
-  [[nodiscard]] std::size_t event_capacity() const noexcept { return events_.capacity(); }
-
  private:
   std::uint64_t universe_n_;
   std::uint64_t total_bits_ = 0;

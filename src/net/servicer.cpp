@@ -1,12 +1,10 @@
 #include "net/servicer.h"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <deque>
+#include <unordered_set>
 #include <utility>
 
-#include "net/mpsc.h"
 #include "net/vclock_hub.h"
 #include "util/bits.h"
 
@@ -23,14 +21,6 @@ void compact(std::vector<std::uint8_t>& buf, std::size_t& pos) {
     buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(pos));
     pos = 0;
   }
-}
-
-inline void cpu_pause() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#endif
 }
 
 }  // namespace
@@ -65,18 +55,11 @@ struct SharedServicer::LinkState {
   /// counts as drained, is skipped by the sweep, and holds no deadlines.
   bool active = true;
 
-  // Driving side (sealed under the shard mutex by the enqueue calls, or by
-  // the poller draining the charge ring).
+  // Driving side (sealed under the shard mutex by the enqueue calls).
   std::vector<ChargeRec> open_batch;
   std::uint64_t open_batch_bits = 0;
   std::uint32_t next_seq = 0;
   std::deque<Frame> queue;  ///< sealed, awaiting window admission
-  /// Fast-path backpressure mirror of queue.size(), published into the
-  /// owning session's depth array so lock-free charges can respect
-  /// pending_cap (approximately: entries still in the ring are not
-  /// counted, so the true bound is pending_cap + ring capacity). Null on
-  /// single-shard servicers.
-  std::atomic<std::uint32_t>* depth_slot = nullptr;
 
   // Sender half.
   ArqSenderWindow window;
@@ -111,59 +94,18 @@ struct SharedServicer::LinkState {
   }
 };
 
-/// One charge command on a shard's lock-free ring: the fast-path form of
-/// session_charge, sealed by the poller in push order.
-struct SharedServicer::ChargeCmd {
-  std::uint32_t session = 0;  ///< shard-local session index
-  std::uint32_t player = 0;
-  bool upstream = false;
-  std::uint64_t bits = 0;
-  std::uint64_t phase = 0;
-};
-
-/// A session row plus the lock-free state its driver's fast path reads
-/// without the shard mutex. Rows live in a deque and are never moved
-/// (the atomics pin them), so pointers published in the shard's segment
-/// table stay valid for the servicer's lifetime.
-struct SharedServicer::SessionRt {
-  SessionState st;
-  /// Immutable after open_session: the session can ever use the ring at
-  /// all (multi-shard, no per-frame blocking, no crash schedule).
-  bool fast_eligible = false;
-  /// Mirror of st.failed() || st.closed for lock-free rejection; set under
-  /// the shard lock wherever the underlying state changes.
-  std::atomic<bool> failed_or_closed{false};
-  /// Ring accounting: cmds the driver pushed vs. cmds the poller sealed.
-  /// Slow-path entries wait for consumed == pushed before touching link
-  /// state, so the per-link charge order is identical to a lock-only run.
-  std::atomic<std::uint64_t> pushed{0};
-  std::atomic<std::uint64_t> consumed{0};
-  /// Per-link queue depths (2k slots), mirrored from LinkState::queue by
-  /// the poller for fast-path backpressure.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> depth;
-};
-
 /// One self-contained servicer engine: the pre-shard SharedServicer's
 /// entire mutable state, times num_shards. Sessions are pinned here for
 /// life; nothing below is ever touched by another shard's poller.
 struct SharedServicer::Shard {
-  explicit Shard(std::size_t idx, std::size_t ring_capacity)
-      : index(idx), charges(ring_capacity), read_buf(std::size_t{1} << 16) {}
+  explicit Shard(std::size_t idx) : index(idx), read_buf(std::size_t{1} << 16) {}
 
   const std::size_t index;
 
   mutable std::mutex mu;
   std::condition_variable work_cv;   ///< wakes the poller (new work / stop)
   std::condition_variable space_cv;  ///< wakes driving waits (space / drain / error)
-  /// Written under mu (condvar discipline) but atomic so the poller's
-  /// lock-free spin can observe it.
-  std::atomic<bool> stop{false};
-  /// Lock-free mirror of error_kind for the charge fast path.
-  std::atomic<bool> has_error{false};
-  /// Poller-is-parked flag for the producer-side wakeup (Dekker with a
-  /// seq_cst fence: producers push, fence, load parked; the poller stores
-  /// parked, fence-equivalent, re-checks the ring).
-  std::atomic<bool> parked{false};
+  bool stop = false;
 
   int driving_waiting = 0;  ///< driving threads blocked => quiescence may advance vclock
   /// Open sessions whose drivers may still act. The virtual clock advances
@@ -183,27 +125,15 @@ struct SharedServicer::Shard {
   /// Reclaimed contiguous slot runs: (first slot, slot count). Bounds the
   /// link table by peak concurrency, not by total sessions ever served.
   std::vector<std::pair<std::size_t, std::size_t>> free_link_blocks;
-  /// The session table (deque: rows never move, so checkpoint references
-  /// and published SessionRt pointers stay valid). Guarded by mu.
-  std::deque<SessionRt> sessions;
-
-  /// Lock-free navigation from a shard-local session index to its row:
-  /// a fixed two-level table of published pointers, so the charge fast
-  /// path never walks the deque while open_session grows it. Segments are
-  /// allocated under mu and published with release; a driver only ever
-  /// looks up an index it received from open_session, which
-  /// happens-before any of its charges.
-  static constexpr std::size_t kSegShift = 9;
-  static constexpr std::size_t kSegSize = std::size_t{1} << kSegShift;
-  static constexpr std::size_t kMaxSegs = std::size_t{1} << 12;
-  struct SessionSeg {
-    SessionRt* rows[kSegSize] = {};
-  };
-  std::array<std::atomic<SessionSeg*>, kMaxSegs> segs{};
-  std::vector<std::unique_ptr<SessionSeg>> seg_storage;  ///< under mu
-
-  /// The MPSC charge ring (fast path; unused at num_shards = 1).
-  BoundedMpscQueue<ChargeCmd> charges;
+  /// The session table, indexed by shard-local session index (deque: rows
+  /// never move, so references into a row, such as its checkpoint bytes,
+  /// stay valid while the table grows). Closed rows stay: their handles
+  /// still answer rethrow_session_error.
+  std::deque<SessionState> sessions;
+  /// Wire ids of the sessions open on this shard (a failed session keeps
+  /// its id until it is closed), so the duplicate-id check at open_session
+  /// never walks the closed rows.
+  std::unordered_set<std::uint32_t> open_ids;
 
   /// Shard-local frame buffers: each poller reads, parses and scratches in
   /// its own arenas, so shards share no hot memory.
@@ -211,11 +141,6 @@ struct SharedServicer::Shard {
   std::vector<ArqSenderWindow::Entry*> due_scratch;
 
   std::thread thread;
-
-  [[nodiscard]] SessionRt* lookup(std::size_t local) const noexcept {
-    const SessionSeg* seg = segs[local >> kSegShift].load(std::memory_order_acquire);
-    return seg == nullptr ? nullptr : seg->rows[local & (kSegSize - 1)];
-  }
 };
 
 SharedServicer::SharedServicer(const Options& opts) : opts_(opts) {
@@ -226,12 +151,11 @@ SharedServicer::SharedServicer(const Options& opts) : opts_(opts) {
                    "transports cannot reach quiescence deterministically)");
   }
   num_shards_ = std::max<std::size_t>(1, opts_.num_shards);
-  multi_shard_ = num_shards_ > 1;
   shards_.reserve(num_shards_);
   for (std::size_t i = 0; i < num_shards_; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, /*ring_capacity=*/4096));
+    shards_.push_back(std::make_unique<Shard>(i));
   }
-  if (opts_.virtual_clock && multi_shard_) {
+  if (opts_.virtual_clock) {
     hub_ = std::make_unique<VClockHub>(num_shards_);
     for (std::size_t i = 0; i < num_shards_; ++i) {
       hub_->attach(i, &shards_[i]->work_cv);
@@ -243,7 +167,7 @@ SharedServicer::~SharedServicer() {
   for (auto& shp : shards_) {
     {
       const std::lock_guard lock(shp->mu);
-      shp->stop.store(true, std::memory_order_relaxed);
+      shp->stop = true;
     }
     shp->work_cv.notify_all();
   }
@@ -273,20 +197,12 @@ std::size_t SharedServicer::open_session(Transport& transport, const SessionOpti
   const std::size_t shard_idx = shard_for(so.session_id, so.shard_affinity);
   Shard& sh = *shards_[shard_idx];
   const std::lock_guard lock(sh.mu);
-  for (const SessionRt& other : sh.sessions) {
-    if (!other.st.closed && other.st.id == so.session_id) {
-      throw NetError(NetErrorKind::kSetup,
-                     "session id " + std::to_string(so.session_id) + " already open");
-    }
+  if (!sh.open_ids.insert(so.session_id).second) {
+    throw NetError(NetErrorKind::kSetup,
+                   "session id " + std::to_string(so.session_id) + " already open");
   }
   const std::size_t local = sh.sessions.size();
-  if ((local >> Shard::kSegShift) >= Shard::kMaxSegs) {
-    throw NetError(NetErrorKind::kSetup, "session table full on shard " +
-                                             std::to_string(shard_idx));
-  }
-  sh.sessions.emplace_back();
-  SessionRt& rt = sh.sessions.back();
-  SessionState& ss = rt.st;
+  SessionState& ss = sh.sessions.emplace_back();
   ss.id = so.session_id;
   ss.k = so.num_players;
   // Prefer a reclaimed slot run of the same width over growing the table:
@@ -309,15 +225,6 @@ std::size_t SharedServicer::open_session(Transport& transport, const SessionOpti
   ss.ckpts = CheckpointStore(so.num_players);
   ss.charge_counts.resize(so.num_players);
 
-  rt.fast_eligible = multi_shard_ && !opts_.arq.block_per_frame &&
-                     !(ss.crash_tolerance && ss.faults.has_crashes());
-  if (multi_shard_) {
-    rt.depth = std::make_unique<std::atomic<std::uint32_t>[]>(2 * so.num_players);
-    for (std::size_t j = 0; j < 2 * so.num_players; ++j) {
-      rt.depth[j].store(0, std::memory_order_relaxed);
-    }
-  }
-
   const std::uint32_t coord = static_cast<std::uint32_t>(so.num_players);
   // The solo-session numbering, per session: up link j has id j, down link
   // j has id k+1+j. Fault and filler keying add the session id on top, so
@@ -329,25 +236,11 @@ std::size_t SharedServicer::open_session(Transport& transport, const SessionOpti
         std::move(minted[j]), /*link_id=*/up ? pj : coord + 1 + pj, /*src=*/up ? pj : coord,
         /*dst=*/up ? coord : pj, opts_, ss.faults, ss.id, local,
         /*log=*/ss.crash_tolerance);
-    if (multi_shard_) ls->depth_slot = &rt.depth[j];
     if (grow) {
       sh.links.push_back(std::move(ls));
     } else {
       sh.links[ss.link_base + j] = std::move(ls);
     }
-  }
-
-  // Publish the row for lock-free fast-path navigation.
-  const std::size_t seg_idx = local >> Shard::kSegShift;
-  Shard::SessionSeg* seg = sh.segs[seg_idx].load(std::memory_order_relaxed);
-  if (seg == nullptr) {
-    auto fresh = std::make_unique<Shard::SessionSeg>();
-    fresh->rows[local & (Shard::kSegSize - 1)] = &rt;
-    seg = fresh.get();
-    sh.seg_storage.push_back(std::move(fresh));
-    sh.segs[seg_idx].store(seg, std::memory_order_release);
-  } else {
-    seg->rows[local & (Shard::kSegSize - 1)] = &rt;
   }
 
   ++sh.live_drivers;
@@ -384,7 +277,6 @@ void SharedServicer::record_error(Shard& sh, NetErrorKind kind, std::string what
   if (!sh.error_kind) {
     sh.error_kind = kind;
     sh.error_what = std::move(what);
-    sh.has_error.store(true, std::memory_order_release);
   }
 }
 
@@ -419,13 +311,6 @@ bool SharedServicer::anything_unacked(const Shard& sh) const noexcept {
 
 // ---- sealing (driving thread or poller, under the shard mutex) --------------
 
-void SharedServicer::note_depth(LinkState& link) noexcept {
-  if (link.depth_slot != nullptr) {
-    link.depth_slot->store(static_cast<std::uint32_t>(link.queue.size()),
-                           std::memory_order_relaxed);
-  }
-}
-
 void SharedServicer::seal_data_frame(LinkState& link, std::uint64_t phase, std::uint64_t bits) {
   Frame f;
   f.header.type = FrameType::kData;
@@ -438,7 +323,6 @@ void SharedServicer::seal_data_frame(LinkState& link, std::uint64_t phase, std::
   f.payload = make_filler_payload(f.header);
   link.next_seq = (link.next_seq + 1) % opts_.arq.seq_modulus;
   link.queue.push_back(std::move(f));
-  note_depth(link);
 }
 
 void SharedServicer::seal_open_batch(LinkState& link) {
@@ -453,7 +337,6 @@ void SharedServicer::seal_open_batch(LinkState& link) {
                                link.session_id);
     link.next_seq = (link.next_seq + 1) % opts_.arq.seq_modulus;
     link.queue.push_back(std::move(f));
-    note_depth(link);
   }
   link.open_batch.clear();
   link.open_batch_bits = 0;
@@ -482,7 +365,7 @@ void SharedServicer::wait_for_space(Shard& sh, std::unique_lock<std::mutex>& loc
   // Backpressure: cap the sealed-but-unadmitted queue. The wait also
   // breaks on *its own* session failing — another session's trouble never
   // wakes (or wedges) this driver.
-  const SessionState& ss = sh.sessions[link.session].st;
+  const SessionState& ss = sh.sessions[link.session];
   const auto dead = [&] { return sh.error_kind.has_value() || ss.failed(); };
   ++sh.driving_waiting;
   while (!dead() && link.queue.size() > opts_.arq.pending_cap) {
@@ -524,12 +407,10 @@ void SharedServicer::release_driver_locked(Shard& sh, SessionState& ss) noexcept
 
 void SharedServicer::fail_session_locked(Shard& sh, const LinkState& link, NetErrorKind kind,
                                          std::string what) noexcept {
-  SessionRt& rt = sh.sessions[link.session];
-  SessionState& ss = rt.st;
+  SessionState& ss = sh.sessions[link.session];
   if (ss.failed()) return;
   ss.error_kind = kind;
   ss.error_what = std::move(what);
-  rt.failed_or_closed.store(true, std::memory_order_release);
   // Retire the session's links so the sweep skips them, their deadlines
   // stop driving the clock, and drained() holds — other sessions and the
   // global finish() never wait on a corpse.
@@ -538,25 +419,6 @@ void SharedServicer::fail_session_locked(Shard& sh, const LinkState& link, NetEr
   }
   release_driver_locked(sh, ss);
   sh.space_cv.notify_all();
-}
-
-void SharedServicer::drain_session_ring_locked(Shard& sh, std::unique_lock<std::mutex>& lock,
-                                               SessionRt& rt) {
-  // Order fence between the two charge paths: any ring entries this
-  // session's driver pushed must seal before the slow path reads or
-  // mutates link state, or the per-link charge order (and hence the frame
-  // stream) would depend on timing.
-  if (!multi_shard_) return;
-  const std::uint64_t target = rt.pushed.load(std::memory_order_relaxed);
-  if (rt.consumed.load(std::memory_order_acquire) >= target) return;
-  ++sh.driving_waiting;
-  while (!sh.error_kind && !rt.st.failed() &&
-         rt.consumed.load(std::memory_order_acquire) < target) {
-    sh.work_cv.notify_one();
-    sh.space_cv.wait_for(lock, std::chrono::seconds(1));
-  }
-  --sh.driving_waiting;
-  if (hub_ != nullptr) hub_->publish_active(sh.index);
 }
 
 void SharedServicer::session_barrier_locked(Shard& sh, std::unique_lock<std::mutex>& lock,
@@ -604,9 +466,8 @@ void SharedServicer::refresh_session_checkpoints_locked(Shard& sh, SessionState&
   }
 }
 
-void SharedServicer::maybe_crash_locked(Shard& sh, SessionRt& rt, std::size_t player,
+void SharedServicer::maybe_crash_locked(Shard& sh, SessionState& ss, std::size_t player,
                                         std::uint64_t phase) {
-  SessionState& ss = rt.st;
   auto& counts = ss.charge_counts[player];
   if (counts.size() <= phase) counts.resize(static_cast<std::size_t>(phase) + 1, 0);
   const std::uint64_t count = counts[static_cast<std::size_t>(phase)]++;
@@ -628,47 +489,11 @@ void SharedServicer::maybe_crash_locked(Shard& sh, SessionRt& rt, std::size_t pl
   }
 }
 
-void SharedServicer::wake_shard(Shard& sh) {
-  // Producer half of the park protocol: the fence orders our ring push
-  // against the parked load; either we see parked (and deliver a locked
-  // notify the poller cannot miss) or the poller's post-park ring re-check
-  // sees our push.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (sh.parked.load(std::memory_order_relaxed)) {
-    const std::lock_guard lk(sh.mu);
-    sh.work_cv.notify_one();
-  }
-}
-
 void SharedServicer::session_charge(std::size_t session, std::size_t player, bool upstream,
                                     std::uint64_t bits, std::uint64_t phase) {
-  const std::size_t shard_idx = session % num_shards_;
-  const std::size_t local = session / num_shards_;
-  Shard& sh = *shards_[shard_idx];
-  if (multi_shard_) {
-    // Lock-free fast path: same phase, healthy session, queue below the
-    // cap — push the charge onto the shard's ring and return without ever
-    // touching the mutex. `last_phase` and `closed` are driver-owned
-    // (written only by this thread's slow-path calls), so reading them
-    // unlocked is race-free; everything else is atomic.
-    SessionRt* rt = sh.lookup(local);
-    if (rt != nullptr && rt->fast_eligible && player < rt->st.k &&
-        phase == rt->st.last_phase && !sh.has_error.load(std::memory_order_relaxed) &&
-        !rt->failed_or_closed.load(std::memory_order_acquire)) {
-      const std::size_t off = upstream ? player : rt->st.k + player;
-      if (rt->depth[off].load(std::memory_order_relaxed) <= opts_.arq.pending_cap &&
-          sh.charges.try_push(ChargeCmd{static_cast<std::uint32_t>(local),
-                                        static_cast<std::uint32_t>(player), upstream, bits,
-                                        phase})) {
-        rt->pushed.fetch_add(1, std::memory_order_relaxed);
-        wake_shard(sh);
-        return;
-      }
-    }
-  }
+  Shard& sh = *shards_[session % num_shards_];
   std::unique_lock lock(sh.mu);
-  SessionRt& rt = enter_session_locked(sh, lock, local, player);
-  SessionState& ss = rt.st;
+  SessionState& ss = enter_session_locked(sh, session / num_shards_, player);
   // Phase barrier: the session's pipeline drains completely before the
   // first charge of a new phase, so frames never mix phases and the
   // executed run keeps the round structure the Transcript records.
@@ -677,7 +502,7 @@ void SharedServicer::session_charge(std::size_t session, std::size_t player, boo
     ss.last_phase = phase;
     if (ss.crash_tolerance) refresh_session_checkpoints_locked(sh, ss);
   }
-  if (ss.crash_tolerance && ss.faults.has_crashes()) maybe_crash_locked(sh, rt, player, phase);
+  if (ss.crash_tolerance && ss.faults.has_crashes()) maybe_crash_locked(sh, ss, player, phase);
   LinkState& link = *sh.links[ss.link_base + (upstream ? player : ss.k + player)];
   const std::size_t sealed_before = link.queue.size();
   // The log, not the live queue, is recovery's source of truth: replaying
@@ -693,28 +518,25 @@ void SharedServicer::session_charge(std::size_t session, std::size_t player, boo
   wait_for_space(sh, lock, link);
 }
 
-SharedServicer::SessionRt& SharedServicer::enter_session_locked(Shard& sh,
-                                                                std::unique_lock<std::mutex>& lock,
-                                                                std::size_t local,
-                                                                std::size_t player) {
-  SessionRt& rt = sh.sessions[local];
-  drain_session_ring_locked(sh, lock, rt);
+SessionState& SharedServicer::enter_session_locked(Shard& sh, std::size_t local,
+                                                  std::size_t player) {
+  SessionState& ss = sh.sessions[local];
   throw_if_error_locked(sh);
-  throw_if_session_failed_locked(rt.st);
-  if (rt.st.closed) {
+  throw_if_session_failed_locked(ss);
+  if (ss.closed) {
     throw NetError(NetErrorKind::kClosed, "charge after the session closed");
   }
-  if (player >= rt.st.k) {
+  if (player >= ss.k) {
     throw NetError(NetErrorKind::kProtocol, "charge names a player outside [0, k)");
   }
-  return rt;
+  return ss;
 }
 
 void SharedServicer::session_relay(std::size_t session, std::size_t player,
                                    std::size_t recipient, std::uint64_t bits) {
   Shard& sh = *shards_[session % num_shards_];
   std::unique_lock lock(sh.mu);
-  SessionState& ss = enter_session_locked(sh, lock, session / num_shards_, player).st;
+  SessionState& ss = enter_session_locked(sh, session / num_shards_, player);
   if (recipient >= ss.k) {
     throw NetError(NetErrorKind::kProtocol, "relay names a recipient outside [0, k)");
   }
@@ -722,7 +544,6 @@ void SharedServicer::session_relay(std::size_t session, std::size_t player,
   link.queue.push_back(
       make_relay_frame(link.src, link.next_seq, ss.k, recipient, bits, link.session_id));
   link.next_seq = (link.next_seq + 1) % opts_.arq.seq_modulus;
-  note_depth(link);
   sh.work_cv.notify_one();
   wait_for_space(sh, lock, link);
 }
@@ -730,9 +551,7 @@ void SharedServicer::session_relay(std::size_t session, std::size_t player,
 void SharedServicer::session_flush(std::size_t session) {
   Shard& sh = *shards_[session % num_shards_];
   std::unique_lock lock(sh.mu);
-  SessionRt& rt = sh.sessions[session / num_shards_];
-  drain_session_ring_locked(sh, lock, rt);
-  SessionState& ss = rt.st;
+  SessionState& ss = sh.sessions[session / num_shards_];
   throw_if_error_locked(sh);
   throw_if_session_failed_locked(ss);
   if (ss.closed) return;
@@ -743,10 +562,8 @@ void SharedServicer::session_flush(std::size_t session) {
 WireStats SharedServicer::close_session(std::size_t session) {
   Shard& sh = *shards_[session % num_shards_];
   std::unique_lock lock(sh.mu);
-  SessionRt& rt = sh.sessions[session / num_shards_];
-  SessionState& ss = rt.st;
+  SessionState& ss = sh.sessions[session / num_shards_];
   if (ss.closed) return ss.result;
-  drain_session_ring_locked(sh, lock, rt);
   // Best-effort drain: a healthy session flushes end to end so its fold is
   // complete; a failed one skips straight to folding what crossed the wire.
   if (!ss.failed() && !sh.error_kind) {
@@ -794,7 +611,7 @@ WireStats SharedServicer::close_session(std::size_t session) {
 
   ss.result = std::move(w);
   ss.closed = true;
-  rt.failed_or_closed.store(true, std::memory_order_release);
+  sh.open_ids.erase(ss.id);
   release_driver_locked(sh, ss);
   // Reclaim the session's link state — the rings, windows and scratch
   // buffers are the servicer's dominant per-session footprint, and the
@@ -814,14 +631,14 @@ WireStats SharedServicer::close_session(std::size_t session) {
 void SharedServicer::rethrow_session_error(std::size_t session) const {
   const Shard& sh = *shards_[session % num_shards_];
   const std::lock_guard lock(sh.mu);
-  throw_if_session_failed_locked(sh.sessions[session / num_shards_].st);
+  throw_if_session_failed_locked(sh.sessions[session / num_shards_]);
 }
 
 const std::vector<std::uint8_t>& SharedServicer::session_checkpoint_bytes(
     std::size_t session, std::size_t player) const {
   const Shard& sh = *shards_[session % num_shards_];
   const std::lock_guard lock(sh.mu);
-  return sh.sessions[session / num_shards_].st.ckpts.bytes(static_cast<std::uint32_t>(player));
+  return sh.sessions[session / num_shards_].ckpts.bytes(static_cast<std::uint32_t>(player));
 }
 
 void SharedServicer::append_control_frame(LinkState& link, const Frame& f) {
@@ -868,7 +685,6 @@ void SharedServicer::restore_sender(LinkState& link, const LinkCheckpoint& ck) {
   link.open_batch.clear();
   link.open_batch_bits = 0;
   link.queue.clear();
-  note_depth(link);
   link.window.reset(ck.next_seq);
   link.next_seq = ck.next_seq;
   // out_data survives deliberately: whole frames the dead incarnation
@@ -923,7 +739,7 @@ void SharedServicer::finish() noexcept {
     Shard& sh = *shards_[s];
     const std::lock_guard lock(sh.mu);
     for (std::size_t local = 0; local < sh.sessions.size(); ++local) {
-      SessionState& ss = sh.sessions[local].st;
+      SessionState& ss = sh.sessions[local];
       if (ss.closed) continue;
       release_driver_locked(sh, ss);
       open.push_back(local * num_shards_ + s);
@@ -933,7 +749,7 @@ void SharedServicer::finish() noexcept {
   for (auto& shp : shards_) {
     {
       const std::lock_guard lock(shp->mu);
-      shp->stop.store(true, std::memory_order_relaxed);
+      shp->stop = true;
     }
     shp->work_cv.notify_all();
   }
@@ -944,30 +760,6 @@ void SharedServicer::finish() noexcept {
 }
 
 // ---- servicer threads (one per shard) ---------------------------------------
-
-std::size_t SharedServicer::drain_charges(Shard& sh) {
-  // The single-consumer side of the fast path: seal ring charges in push
-  // order under the shard lock. One driver per session means per-link
-  // charge order equals driver program order — the same order the locked
-  // path would have produced.
-  std::size_t n = 0;
-  ChargeCmd cmd;
-  while (sh.charges.try_pop(cmd)) {
-    ++n;
-    SessionRt& rt = sh.sessions[cmd.session];
-    SessionState& ss = rt.st;
-    if (!ss.failed() && !ss.closed) {
-      LinkState& link =
-          *sh.links[ss.link_base + (cmd.upstream ? cmd.player : ss.k + cmd.player)];
-      if (link.log_charges) link.charge_log.push_back({cmd.phase, cmd.bits});
-      seal_charge(link, cmd.phase, cmd.bits);
-    }
-    // Count even skipped cmds: slow-path fences wait on consumed == pushed.
-    rt.consumed.fetch_add(1, std::memory_order_release);
-  }
-  if (n > 0) sh.space_cv.notify_all();
-  return n;
-}
 
 void SharedServicer::transmit(LinkState& link, ArqSenderWindow::Entry& entry,
                               std::uint64_t now) {
@@ -1023,7 +815,7 @@ void SharedServicer::accept_frame(Shard& sh, LinkState& link, const Frame& f) {
     // The coordinator's half of the Section 2 simulation: strip the
     // recipient id and forward the message as a solo kData frame. No
     // backpressure — the servicer must never wait on itself.
-    const SessionState& ss = sh.sessions[link.session].st;
+    const SessionState& ss = sh.sessions[link.session];
     const std::size_t to = decode_relay_recipient(f, ss.k);
     seal_data_frame(*sh.links[ss.link_base + ss.k + to], f.header.phase,
                     f.header.payload_bits - vertex_bits(static_cast<std::uint64_t>(ss.k)));
@@ -1111,7 +903,6 @@ bool SharedServicer::sweep(Shard& sh, std::uint64_t now) {
       transmit(link, e, now);
       progress = true;
     }
-    note_depth(link);
     // Flush pending out-bytes (partial writes park here; never blocks).
     if (link.out_data_pos < link.out_data.size()) {
       const std::size_t n = link.link.data->write_some(std::span<const std::uint8_t>(
@@ -1242,43 +1033,13 @@ bool SharedServicer::earliest_deadline(const Shard& sh, std::uint64_t& out) cons
   return found;
 }
 
-bool SharedServicer::advance_virtual_clock(Shard& sh) {
-  // Quiescence: every readable byte has been consumed, so ack knowledge is
-  // complete and any still-unacked entry truly needs another attempt. Jump
-  // logical time to the earliest actionable deadline and fire.
-  std::uint64_t earliest = 0;
-  if (!earliest_deadline(sh, earliest)) return false;
-  sh.vnow_us = std::max(sh.vnow_us, earliest);
+void SharedServicer::advance_virtual_clock(Shard& sh, std::uint64_t t) {
+  // The hub moved logical time to `t` at global quiescence: every readable
+  // byte had been consumed, so ack knowledge is complete and any
+  // still-unacked entry due by now truly needs another attempt.
+  sh.vnow_us = std::max(sh.vnow_us, t);
   retransmit_due(sh, sh.vnow_us);
   check_down(sh, sh.vnow_us);  // fails the owning session if the jump landed on a down deadline
-  return true;                 // a jump always acted: a retransmit fired or a failure recorded
-}
-
-void SharedServicer::park_and_wait(Shard& sh, std::unique_lock<std::mutex>& lock,
-                                   std::chrono::microseconds dur) {
-  // Adaptive spin-then-park: poll the charge ring lock-free for a moment —
-  // the overwhelmingly common service-plane wakeup — before paying for a
-  // real park. Producers that find `parked` set take the mutex to notify,
-  // so the wakeup can never be lost; the seq_cst store/fence pair closes
-  // the push-vs-park race in the other direction.
-  lock.unlock();
-  bool work = false;
-  for (int i = 0; i < 256; ++i) {
-    if (!sh.charges.approx_empty() || sh.stop.load(std::memory_order_relaxed)) {
-      work = true;
-      break;
-    }
-    cpu_pause();
-  }
-  lock.lock();
-  if (work) return;
-  sh.parked.store(true, std::memory_order_seq_cst);
-  if (!sh.charges.approx_empty()) {
-    sh.parked.store(false, std::memory_order_relaxed);
-    return;
-  }
-  sh.work_cv.wait_for(lock, dur);
-  sh.parked.store(false, std::memory_order_relaxed);
 }
 
 void SharedServicer::run(Shard& sh) noexcept {
@@ -1288,22 +1049,16 @@ void SharedServicer::run(Shard& sh) noexcept {
   bool idle_published = false;
   try {
     for (;;) {
-      if (hub_ != nullptr) {
-        // Another shard may have advanced the global clock while we slept;
-        // act on the new time before anything else so our retransmits fire
-        // at the same logical instant as everyone else's.
-        const std::uint64_t t = hub_->now();
-        if (t > sh.vnow_us) {
-          sh.vnow_us = t;
-          idle_published = false;  // the advance cleared every hub slot
-          retransmit_due(sh, t);
-          check_down(sh, t);
-          if (sh.error_kind) break;
-        }
+      // Another shard may have advanced the global clock while we slept;
+      // act on the new time before anything else so our retransmits fire
+      // at the same logical instant as everyone else's.
+      if (hub_ != nullptr && hub_->now() > sh.vnow_us) {
+        idle_published = false;  // the advance cleared every hub slot
+        advance_virtual_clock(sh, hub_->now());
+        if (sh.error_kind) break;
       }
-      bool progress = multi_shard_ && drain_charges(sh) > 0;
       const std::uint64_t now = now_us(sh);
-      if (sweep(sh, now)) progress = true;
+      bool progress = sweep(sh, now);
       if (sh.error_kind) break;
       if (!opts_.virtual_clock) {
         progress |= retransmit_due(sh, now);
@@ -1317,53 +1072,39 @@ void SharedServicer::run(Shard& sh) noexcept {
         }
         continue;
       }
-      if (sh.stop.load(std::memory_order_relaxed) && all_drained(sh)) break;
-      if (opts_.virtual_clock) {
-        if (hub_ == nullptr) {
-          // Single shard: the legacy quiescence rule, bit for bit. Every
-          // live session's driver must be blocked (driving_waiting >=
-          // live_drivers): a driver still computing may yet enqueue work or
-          // acks that change retransmission fates, so jumping early would
-          // make the clock scheduling-dependent.
-          if (((sh.driving_waiting > 0 && sh.driving_waiting >= sh.live_drivers) ||
-               sh.stop.load(std::memory_order_relaxed)) &&
-              advance_virtual_clock(sh)) {
+      if (sh.stop && all_drained(sh)) break;
+      if (hub_ != nullptr) {
+        // Quiescence: locally idle means every live session's driver is
+        // blocked (or none is live — an empty shard must not hold up its
+        // siblings). A driver still computing may yet enqueue work or acks
+        // that change retransmission fates, so jumping early would make the
+        // clock scheduling-dependent. Publish to the hub; whichever shard
+        // publishes the last missing slot performs the global jump and
+        // pokes the rest.
+        const bool quiescent = sh.stop || sh.live_drivers == 0 ||
+                               (sh.driving_waiting > 0 && sh.driving_waiting >= sh.live_drivers);
+        if (quiescent) {
+          // Publish every quiescent lap (idempotent): an advance or a
+          // driver's publish_active clears our hub slot behind our back,
+          // and skipping the re-publish would wedge the barrier.
+          std::uint64_t dl = 0;
+          const bool has_dl = earliest_deadline(sh, dl);
+          if (hub_->publish_idle(sh.index, has_dl, dl)) {
+            idle_published = false;
+            advance_virtual_clock(sh, hub_->now());
+            if (sh.error_kind) break;
             continue;
           }
-          sh.space_cv.notify_all();
-          sh.work_cv.wait(lock);
-          if (sh.stop.load(std::memory_order_relaxed) && all_drained(sh)) break;
-        } else {
-          // Sharded quiescence: locally idle means drivers blocked (or none
-          // live — an empty shard must not hold up its siblings) and the
-          // ring drained. Publish to the hub; whichever shard publishes the
-          // last missing slot performs the global jump and pokes the rest.
-          const bool quiescent =
-              sh.charges.approx_empty() &&
-              (sh.stop.load(std::memory_order_relaxed) || sh.live_drivers == 0 ||
-               (sh.driving_waiting > 0 && sh.driving_waiting >= sh.live_drivers));
-          if (quiescent) {
-            // Publish every quiescent lap (idempotent): an advance or a
-            // driver's publish_active clears our hub slot behind our back,
-            // and skipping the re-publish would wedge the barrier.
-            std::uint64_t dl = 0;
-            const bool has_dl = earliest_deadline(sh, dl);
-            if (hub_->publish_idle(sh.index, has_dl, dl)) {
-              idle_published = false;
-              sh.vnow_us = std::max(sh.vnow_us, hub_->now());
-              retransmit_due(sh, sh.vnow_us);
-              check_down(sh, sh.vnow_us);
-              if (sh.error_kind) break;
-              continue;
-            }
-            idle_published = true;
-          }
-          sh.space_cv.notify_all();
-          // The hub notifies our condvar without holding our mutex, so this
-          // wait must be bounded: a lost cross-shard wakeup costs one lap
-          // of the timeout, never a hang (and never a count).
-          park_and_wait(sh, lock, std::chrono::microseconds(200));
+          idle_published = true;
         }
+        sh.space_cv.notify_all();
+        // The hub notifies our condvar without holding our mutex, so this
+        // wait must be bounded: a lost cross-shard wakeup costs one lap of
+        // the timeout, never a hang (and never a count). Every other wake
+        // comes under our mutex, so the bound only caps that stall and sets
+        // how often an idle shard re-checks; a tighter one buys nothing
+        // but CPU.
+        sh.work_cv.wait_for(lock, std::chrono::milliseconds(2));
       } else {
         sh.space_cv.notify_all();
         auto wake = Clock::now() + std::chrono::milliseconds(200);
@@ -1376,15 +1117,7 @@ void SharedServicer::run(Shard& sh) noexcept {
           // any condvar signal; recheck soon.
           wake = std::min(wake, Clock::now() + std::chrono::microseconds(500));
         }
-        if (multi_shard_) {
-          sh.parked.store(true, std::memory_order_seq_cst);
-          if (!sh.charges.approx_empty()) {
-            sh.parked.store(false, std::memory_order_relaxed);
-            continue;
-          }
-        }
         sh.work_cv.wait_until(lock, wake);
-        if (multi_shard_) sh.parked.store(false, std::memory_order_relaxed);
       }
     }
   } catch (const NetError& e) {

@@ -33,30 +33,15 @@
 ///
 /// ## Shards
 ///
-/// Each shard is a self-contained copy of the original single-threaded
-/// engine: its own mutex, condvars, link table, session table, free-slot
-/// list, virtual clock and scratch buffers. A session is pinned to exactly
-/// one shard at open_session (session_id % num_shards, or the explicit
-/// SessionOptions::shard_affinity hint), and all 2k of its links live
-/// there — so per-session determinism, phase-barrier flushing and
-/// crash/replay logic are untouched by sharding: within a shard the code
-/// IS the single-threaded servicer. `num_shards = 1` takes exactly the
-/// legacy code paths (no charge ring, no hub, no spin) and is byte-identical
-/// to the pre-shard servicer — the permanent A/B reference.
-///
-/// With num_shards > 1 the driving threads gain a lock-free fast path:
-/// eligible charges (same phase, no crash schedule, queue below the
-/// backpressure cap) are pushed onto the shard's bounded MPSC ring
-/// (net/mpsc.h) and sealed by the poller in FIFO order — which, one driver
-/// per session, equals the driver's program order, preserving the
-/// "frame stream is a pure function of the charge stream" anchor. Anything
-/// else (phase barriers, crash-tolerant sessions with a crash schedule,
-/// backpressure, flush, close) takes the classic locked slow path, which
-/// first waits for the session's in-flight ring entries to be consumed so
-/// per-link charge order is never reordered across the two paths. Idle
-/// pollers spin briefly on the ring before parking on their condvar; a
-/// parked flag with a seq_cst fence makes the producer-side wakeup
-/// race-free.
+/// Each shard is a self-contained engine: its own mutex, condvars, link
+/// table, session table, free-slot list, virtual clock and scratch buffers.
+/// A session is pinned to exactly one shard at open_session (session_id %
+/// num_shards, or the explicit SessionOptions::shard_affinity hint), and
+/// all 2k of its links live there — so per-session determinism,
+/// phase-barrier flushing and crash/replay logic are untouched by sharding.
+/// There is one engine at every shard count: every charge seals under its
+/// shard's mutex, and the driver's program order is the per-link charge
+/// order, so the frame stream is a pure function of the charge stream.
 ///
 /// ## Virtual-clock mode (Options::virtual_clock, in-proc only)
 ///
@@ -67,10 +52,10 @@
 /// retransmitted iff no attempt so far delivered; attempt fates are pure
 /// functions of (session, link, seq, attempt); hence retransmission counts
 /// are exactly reproducible run to run — what lets bench_net's fault grid
-/// live in the committed baseline. With multiple shards, quiescence is
-/// global: a VClockHub (net/vclock_hub.h) advances the one logical clock
-/// only when every shard has published local quiescence (drivers blocked,
-/// ring drained, sweep idle), to the minimum actionable deadline across
+/// live in the committed baseline. Quiescence is global at every shard
+/// count, one shard included: a VClockHub (net/vclock_hub.h) advances the
+/// one logical clock only when every shard has published local quiescence
+/// (drivers blocked, sweep idle), to the minimum actionable deadline across
 /// shards — so per-session fault counts stay bit-identical at any shard
 /// count (only WireStats::virtual_time_us, which was never part of the
 /// cross-config contract, may differ).
@@ -113,10 +98,10 @@ class SharedServicer {
     /// crash_tolerance), and nothing reads this field. It stays so that
     /// callers that still assign it (perfbench/src/workloads.cpp) compile.
     bool crash_tolerance = false;
-    /// Independent poller shards. 1 (the default) is the single-threaded
-    /// servicer, byte for byte; N > 1 scales the service plane across N
-    /// cores while keeping every session's transcript and accounting
-    /// bit-exact (sessions never span shards). Values < 1 are clamped.
+    /// Independent poller shards, each with its own thread and lock. N > 1
+    /// scales the service plane across N cores while keeping every
+    /// session's transcript and accounting bit-exact (sessions never span
+    /// shards). Values < 1 are clamped to 1.
     std::size_t num_shards = 1;
   };
 
@@ -158,9 +143,8 @@ class SharedServicer {
 
   /// Runs the session's phase barrier when `phase` changes, evaluates its
   /// crash schedule, seals the charge onto the addressed link and applies
-  /// backpressure. Throws the session's typed error if it failed. With
-  /// num_shards > 1, eligible charges take the shard's lock-free ring
-  /// instead of the mutex.
+  /// backpressure, all under the session's shard lock. Throws the session's
+  /// typed error if it failed.
   void session_charge(std::size_t session, std::size_t player, bool upstream,
                       std::uint64_t bits, std::uint64_t phase);
 
@@ -206,31 +190,23 @@ class SharedServicer {
 
  private:
   struct LinkState;
-  struct SessionRt;
   struct Shard;
-  struct ChargeCmd;
 
   [[nodiscard]] std::size_t shard_for(std::uint32_t session_id,
                                       std::uint32_t affinity) const noexcept;
 
   void run(Shard& sh) noexcept;
-  std::size_t drain_charges(Shard& sh);
-  void wake_shard(Shard& sh);
-  void park_and_wait(Shard& sh, std::unique_lock<std::mutex>& lock,
-                     std::chrono::microseconds dur);
   bool sweep(Shard& sh, std::uint64_t now_us);
   void transmit(LinkState& link, ArqSenderWindow::Entry& entry, std::uint64_t now_us);
   bool retransmit_due(Shard& sh, std::uint64_t now_us);
-  bool advance_virtual_clock(Shard& sh);
+  void advance_virtual_clock(Shard& sh, std::uint64_t t);
   [[nodiscard]] bool earliest_deadline(const Shard& sh, std::uint64_t& out) const noexcept;
   void check_down(Shard& sh, std::uint64_t now_us);
   void wait_for_space(Shard& sh, std::unique_lock<std::mutex>& lock, LinkState& link);
-  SessionRt& enter_session_locked(Shard& sh, std::unique_lock<std::mutex>& lock,
-                                  std::size_t local, std::size_t player);
-  void drain_session_ring_locked(Shard& sh, std::unique_lock<std::mutex>& lock, SessionRt& rt);
+  SessionState& enter_session_locked(Shard& sh, std::size_t local, std::size_t player);
   void session_barrier_locked(Shard& sh, std::unique_lock<std::mutex>& lock, SessionState& ss);
   void refresh_session_checkpoints_locked(Shard& sh, SessionState& ss);
-  void maybe_crash_locked(Shard& sh, SessionRt& rt, std::size_t player, std::uint64_t phase);
+  void maybe_crash_locked(Shard& sh, SessionState& ss, std::size_t player, std::uint64_t phase);
   /// Kill `player` between two charges: its up link stops sending, its down
   /// link stops receiving and fences its ack epoch, and a kPlayerDown frame
   /// goes out on the down link.
@@ -255,7 +231,6 @@ class SharedServicer {
   void seal_open_batch(LinkState& link);
   void seal_data_frame(LinkState& link, std::uint64_t phase, std::uint64_t bits);
   void seal_charge(LinkState& link, std::uint64_t phase, std::uint64_t bits);
-  static void note_depth(LinkState& link) noexcept;
   void append_control_frame(LinkState& link, const Frame& f);
   void restore_sender(LinkState& link, const LinkCheckpoint& ck);
   void restore_receiver(LinkState& link, const LinkCheckpoint& ck);
@@ -268,15 +243,11 @@ class SharedServicer {
 
   Options opts_;
   std::size_t num_shards_ = 1;
-  /// True iff num_shards_ > 1: gates the MPSC fast path, the poller spin
-  /// and the hub, so a single-shard servicer takes exactly the legacy code
-  /// paths.
-  bool multi_shard_ = false;
   /// One engine per shard (pointer-stable; the Shard definition lives in
   /// servicer.cpp next to LinkState).
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Cross-shard virtual-clock barrier; only with virtual_clock and
-  /// num_shards > 1.
+  /// The virtual clock's quiescence barrier, at every shard count; null on
+  /// a real-clock servicer, whose charge path never touches it.
   std::unique_ptr<VClockHub> hub_;
   bool started_ = false;
   bool finished_ = false;

@@ -9,25 +9,25 @@
 #include <vector>
 
 /// \file vclock_hub.h
-/// Cross-shard quiescence barrier for the sharded servicer's virtual clock.
+/// The quiescence barrier of the servicer's virtual clock, at every shard
+/// count.
 ///
-/// With one shard the servicer advances `vnow_us_` the moment its own sweep
-/// makes no progress and every driver is blocked — quiescence is a local
-/// predicate. With N shards the clock is global: a shard that looks idle
-/// must not jump time while a sibling shard still has deliverable frames,
-/// or retransmit counts would depend on shard placement. The hub restores
-/// the single-shard rule: time advances only when EVERY shard has published
-/// local quiescence, and it jumps to the minimum actionable deadline across
-/// all shards — the same value the monolithic servicer would have picked,
-/// because deadlines of distinct sessions never interact beyond the max/min
-/// (each session's retransmit decisions depend only on its own frame fates;
-/// see PROTOCOLS.md "Sharded servicer").
+/// Time advances only at quiescence. With N shards the clock is global: a
+/// shard that looks idle must not jump time while a sibling shard still
+/// has deliverable frames, or retransmit counts would depend on shard
+/// placement. So time advances only when EVERY shard has published local
+/// quiescence, and it jumps to the minimum actionable deadline across all
+/// shards — the same value one servicer holding every session would have
+/// picked, because deadlines of distinct sessions never interact beyond the
+/// max/min (each session's retransmit decisions depend only on its own
+/// frame fates; see PROTOCOLS.md "Sharded servicer"). One shard is the
+/// case N = 1 of the same rule: its lone slot is the whole barrier.
 ///
 /// Locking: strictly shard-lock → hub-lock. The hub never takes a shard
 /// lock; it wakes sleeping shards by notifying their condvars without the
-/// corresponding mutex, so hub-mode shard waits are bounded
-/// (`wait_for` + generation check) rather than open-ended — a missed
-/// notify costs microseconds of latency and zero determinism.
+/// corresponding mutex, so shard waits are bounded (`wait_for` + a clock
+/// check) rather than open-ended — a missed notify costs microseconds of
+/// latency and zero determinism.
 ///
 /// A shard that exits its run loop (stop + drained) publishes `exit`, a
 /// permanently-idle state, so stragglers can still advance the clock.
@@ -46,17 +46,11 @@ class VClockHub {
     return vnow_.load(std::memory_order_acquire);
   }
 
-  /// Bumped on every clock advance; sleeping shards watch it to detect an
-  /// advance that happened while they held no lock.
-  [[nodiscard]] std::uint64_t generation() const noexcept {
-    return gen_.load(std::memory_order_acquire);
-  }
-
-  /// Shard `i` reports local quiescence (drivers blocked or none live, ring
-  /// drained, sweep made no progress). `deadline` is its earliest actionable
+  /// Shard `i` reports local quiescence (drivers blocked or none live,
+  /// sweep made no progress). `deadline` is its earliest actionable
   /// retransmit/fail deadline, if any. Returns true iff THIS call advanced
   /// the global clock — the caller must then retransmit at `now()`. When it
-  /// returns false the shard should sleep and re-check `generation()`.
+  /// returns false the shard should sleep and re-check `now()`.
   bool publish_idle(std::size_t i, bool has_deadline, std::uint64_t deadline) {
     std::unique_lock<std::mutex> lock(mu_);
     Slot& s = slots_[i];
@@ -74,7 +68,6 @@ class VClockHub {
     std::uint64_t now = vnow_.load(std::memory_order_relaxed);
     if (earliest > now) now = earliest;
     vnow_.store(now, std::memory_order_release);
-    gen_.fetch_add(1, std::memory_order_release);
     for (std::size_t j = 0; j < slots_.size(); ++j) {
       if (slots_[j].exited) continue;
       slots_[j].idle = false;
@@ -83,8 +76,8 @@ class VClockHub {
     return true;
   }
 
-  /// Shard `i` woke up with real work (ring entries, driver activity); it is
-  /// no longer quiescent.
+  /// Shard `i` woke up with real work (driver activity); it is no longer
+  /// quiescent.
   void publish_active(std::size_t i) {
     std::unique_lock<std::mutex> lock(mu_);
     slots_[i].idle = false;
@@ -116,7 +109,6 @@ class VClockHub {
   mutable std::mutex mu_;
   std::vector<Slot> slots_;
   std::atomic<std::uint64_t> vnow_{0};
-  std::atomic<std::uint64_t> gen_{0};
 };
 
 }  // namespace tft::net

@@ -19,7 +19,9 @@ FairSharePick fair_share_pick(std::span<const std::string_view> queued,
     // FIFO within a tenant falls out of taking its first match.
     const auto it = std::find(queued.begin(), queued.end(), rotation[ti]);
     if (it != queued.end()) {
-      return {static_cast<std::size_t>(it - queued.begin()), (ti + 1) % rotation.size()};
+      // Unreduced: the next scan reduces it against the rotation it sees,
+      // so a tenant that joins meanwhile is next in line.
+      return {static_cast<std::size_t>(it - queued.begin()), ti + 1};
     }
   }
   return {0, cursor};

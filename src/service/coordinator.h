@@ -69,9 +69,12 @@ struct FairSharePick {
 
 /// Fair-share's round-robin as a pure function. `queued` lists the tenant
 /// of every queued session, oldest first; `rotation` lists every tenant in
-/// first-seen order. Scan the rotation from `cursor` for a tenant with
-/// queued work, take its oldest session, and park the cursor just past that
-/// tenant. {0, cursor} when no rotated tenant has queued work.
+/// first-seen order. Scan the rotation from `cursor` (modulo its size) for a
+/// tenant with queued work, take its oldest session, and return the cursor
+/// just past that tenant, unreduced: a tenant that joins the rotation
+/// before the next pick lands at that position, so it goes next instead of
+/// waiting behind one more session of the tenant just served. {0, cursor}
+/// when no rotated tenant has queued work.
 [[nodiscard]] FairSharePick fair_share_pick(std::span<const std::string_view> queued,
                                             std::span<const std::string> rotation,
                                             std::size_t cursor);

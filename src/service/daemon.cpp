@@ -32,7 +32,9 @@ namespace {
 
 void write_all(int fd, const std::uint8_t* data, std::size_t len) {
   while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
+    // MSG_NOSIGNAL: a peer that hung up is a kClosed error here, not a
+    // SIGPIPE that kills the process.
+    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno(NetErrorKind::kClosed, "service write");
@@ -42,8 +44,21 @@ void write_all(int fd, const std::uint8_t* data, std::size_t len) {
   }
 }
 
-void read_exact(int fd, std::uint8_t* data, std::size_t len) {
+/// Block until `fd` is readable, or throw kClosed once `stop_fd` is (the
+/// daemon's stop pipe; the stop wins a tie, so a stopping daemon reads no
+/// further requests).
+void await_readable(int fd, int stop_fd) {
+  pollfd fds[2] = {{fd, POLLIN, 0}, {stop_fd, POLLIN, 0}};
+  while (::poll(fds, 2, -1) < 0) {
+    if (errno != EINTR) throw_errno(NetErrorKind::kClosed, "service poll");
+  }
+  if (fds[1].revents != 0) throw NetError(NetErrorKind::kClosed, "the daemon is shutting down");
+}
+
+/// `stop_fd` < 0 reads without a stop signal (the client side).
+void read_exact(int fd, std::uint8_t* data, std::size_t len, int stop_fd) {
   while (len > 0) {
+    if (stop_fd >= 0) await_readable(fd, stop_fd);
     const ssize_t n = ::read(fd, data, len);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -70,18 +85,18 @@ void write_blob(int fd, const std::vector<std::uint8_t>& bytes) {
   write_all(fd, out.data(), out.size());
 }
 
-std::vector<std::uint8_t> read_blob(int fd) {
+std::vector<std::uint8_t> read_blob(int fd, int stop_fd = -1) {
   std::uint8_t prefix[4];
-  read_exact(fd, prefix, 4);
+  read_exact(fd, prefix, 4, stop_fd);
   std::uint32_t len = 0;
   for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
   if (len > net::kMaxBodyBytes) {
     throw NetError(NetErrorKind::kCorrupt, "service blob length exceeds the frame body cap");
   }
   std::vector<std::uint8_t> bytes(len);
-  if (len > 0) read_exact(fd, bytes.data(), len);
+  if (len > 0) read_exact(fd, bytes.data(), len, stop_fd);
   std::uint8_t trailer[4];
-  read_exact(fd, trailer, 4);
+  read_exact(fd, trailer, 4, stop_fd);
   std::uint32_t crc = 0;
   for (int i = 0; i < 4; ++i) crc |= static_cast<std::uint32_t>(trailer[i]) << (8 * i);
   if (crc != net::crc32(bytes)) {
@@ -113,15 +128,26 @@ ServiceDaemon::ServiceDaemon(const ServiceConfig& cfg, std::uint16_t port)
     throw_errno(NetErrorKind::kSetup, "getsockname");
   }
   port_ = ntohs(addr.sin_port);
+  if (::pipe(stop_pipe_) < 0) {
+    (void)::close(listen_fd_);
+    throw_errno(NetErrorKind::kSetup, "pipe");
+  }
 
   acceptor_ = std::thread([this] { accept_loop(); });
 }
 
-ServiceDaemon::~ServiceDaemon() { shutdown(); }
+ServiceDaemon::~ServiceDaemon() {
+  shutdown();
+  (void)::close(stop_pipe_[0]);
+}
 
 void ServiceDaemon::shutdown() {
   if (stopped_) return;
   stopped_ = true;
+  // Waking the handlers that still wait for their spec: a client that never
+  // finishes its request must not hold the handler join below forever.
+  (void)::close(stop_pipe_[1]);
+  stop_pipe_[1] = -1;
   // Waking the acceptor: shutdown() fails accept(2) with EINVAL on Linux,
   // and the loop's stop check does the rest.
   (void)::shutdown(listen_fd_, SHUT_RDWR);
@@ -171,7 +197,7 @@ void ServiceDaemon::accept_loop() {
 void ServiceDaemon::serve_connection(int fd) {
   ServiceReply reply;
   try {
-    const std::vector<std::uint8_t> blob = read_blob(fd);
+    const std::vector<std::uint8_t> blob = read_blob(fd, stop_pipe_[0]);
     const SessionSpec spec = decode_spec(blob);
     std::future<SessionOutcome> future;
     try {

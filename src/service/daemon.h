@@ -35,7 +35,10 @@ class ServiceDaemon {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   [[nodiscard]] ServiceCoordinator& coordinator() noexcept { return *coordinator_; }
 
-  /// Stop accepting connections and drain in-flight sessions. Idempotent.
+  /// Stop accepting connections and drain in-flight sessions. Handlers
+  /// still waiting for their client's spec stop at once with a typed
+  /// kClosed reply; those that already have it run their session and
+  /// reply. Idempotent.
   void shutdown();
 
  private:
@@ -44,6 +47,10 @@ class ServiceDaemon {
 
   std::unique_ptr<ServiceCoordinator> coordinator_;
   int listen_fd_ = -1;
+  /// Every handler still reading its spec polls stop_pipe_[0] next to its
+  /// connection; shutdown() closes stop_pipe_[1], which makes [0] report
+  /// hang-up to all of them at once.
+  int stop_pipe_[2] = {-1, -1};
   std::uint16_t port_ = 0;
   std::thread acceptor_;
   bool stopped_ = false;

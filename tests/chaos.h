@@ -45,8 +45,8 @@ struct Scenario {
   CommModel model = CommModel::kCoordinator;
   net::ArqPolicy arq = net::ArqPolicy::windowed();
   /// Servicer poller shards. A solo session always lives on one shard, but
-  /// > 1 routes it through the multi-shard machinery (MPSC fast path,
-  /// cross-shard quiescence hub) — the shard-determinism suite reruns the
+  /// > 1 leaves the others empty, so the quiescence hub must advance the
+  /// clock across idle siblings — the shard-determinism suite reruns the
   /// chaos grammar at 4 shards against the 1-shard clean baseline.
   std::size_t num_shards = 1;
 };

@@ -285,22 +285,55 @@ TEST(NetMultiSession, DuplicateOpenSessionIdIsTypedAndFreedAtClose) {
   InProcTransport transport;
   SharedServicer servicer(vclock_options());
   servicer.start();
+  const auto expect_refused = [&](const SharedServicer::SessionOptions& so) {
+    try {
+      (void)servicer.open_session(transport, so);
+      ADD_FAILURE() << "a second open of live session id " << so.session_id << " must throw";
+    } catch (const NetError& e) {
+      EXPECT_EQ(e.kind(), NetErrorKind::kSetup);
+    }
+  };
 
   SharedServicer::SessionOptions so;
   so.num_players = 2;
   so.session_id = 5;
   const std::size_t sidx = servicer.open_session(transport, so);
-  try {
-    (void)servicer.open_session(transport, so);
-    FAIL() << "a second open of a live session id must throw";
-  } catch (const NetError& e) {
-    EXPECT_EQ(e.kind(), NetErrorKind::kSetup);
-  }
+  expect_refused(so);
   (void)drive_session(servicer, sidx, 1);
   // The id is free again once the session closed.
   const std::size_t again = servicer.open_session(transport, so);
   const WireStats w = drive_session(servicer, again, 2);
   EXPECT_EQ(w.payload_bits(), expected_payload_bits(2));
+
+  // The check sees only open sessions, however many closed rows the table
+  // holds: after 1000 more open/close cycles, an open id is still refused...
+  SharedServicer::SessionOptions held = so;
+  held.session_id = 6;
+  const std::size_t held_idx = servicer.open_session(transport, held);
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    SharedServicer::SessionOptions churn = so;
+    churn.session_id = 100 + i;
+    (void)servicer.close_session(servicer.open_session(transport, churn));
+  }
+  expect_refused(held);
+  (void)drive_session(servicer, held_idx, 3);
+  // ...a closed id opens again...
+  const std::size_t reopened = servicer.open_session(transport, so);
+  EXPECT_EQ(drive_session(servicer, reopened, 4).payload_bits(), expected_payload_bits(4));
+  // ...and a failed session keeps its id until it is closed.
+  SharedServicer::SessionOptions doomed = so;
+  doomed.session_id = 7;
+  FaultPlan black_hole;
+  black_hole.seed = 7;
+  black_hole.drop = 1.0;
+  doomed.faults = black_hole;
+  const std::size_t dead = servicer.open_session(transport, doomed);
+  EXPECT_THROW((void)drive_session(servicer, dead, 0), NetError);
+  expect_refused(doomed);
+  (void)servicer.close_session(dead);
+  doomed.faults.reset();
+  const std::size_t revived = servicer.open_session(transport, doomed);
+  EXPECT_EQ(drive_session(servicer, revived, 5).payload_bits(), expected_payload_bits(5));
   servicer.finish();
 }
 

@@ -1,20 +1,23 @@
 // The sharded servicer's determinism contract: every session's accounting
 // is a pure function of its charge stream, so the shard count — and the
 // shard a session lands on — must never move a single counter. The suite
-// replays identical fleets at num_shards 1 / 2 / 4 and demands bit-exact
-// per-session WireStats (virtual_time_us excluded: the hub's merged clock
-// legitimately differs from a solo shard's), pins sessions with
-// shard_affinity without perturbing a byte, checks empty shards cannot
-// wedge the quiescence hub, and reruns the crash-chaos grammar at 4 shards
+// pins the 1-shard fleet's counters to literals, replays the same fleet at
+// num_shards 2 / 4 and demands bit-exact per-session WireStats
+// (virtual_time_us excluded: the logical clock's final value depends on how
+// many sessions share its jumps), pins sessions with shard_affinity without
+// perturbing a byte, checks that neither one shard nor empty shards wedge
+// the quiescence hub, and reruns the crash-chaos grammar at 4 shards
 // against the 1-shard clean baseline.
 //
-// These tests also run under TSan in CI (the NetShard.* cell): the MPSC
-// fast path, the park/wake protocol and the hub barrier are exactly the
-// code TSan should chew on.
+// Every virtual-clock servicer advances time through the hub, one shard
+// included, so these tests also run under TSan in CI (the NetShard.* cell):
+// the hub barrier and its bounded waits are exactly the code TSan should
+// chew on.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -113,8 +116,60 @@ void expect_stats_identical(const WireStats& a, const WireStats& b) {
   EXPECT_EQ(a.replayed_charges, b.replayed_charges);
 }
 
+/// The fault-dependent counters of run_fleet(1, 0), per session, as the
+/// 1-shard servicer produced them under its own quiescence rule, before
+/// every virtual-clock servicer advanced time through the hub.
+struct FleetCounters {
+  std::uint64_t wire_bytes;
+  std::uint64_t retransmissions;
+  std::uint64_t duplicates;
+  std::uint64_t corrupt_frames;
+  std::uint64_t acks;
+  std::uint64_t frames_delivered;
+};
+constexpr FleetCounters kPinnedOneShardFleet[] = {
+    {371, 2, 0, 2, 18, 18},  {451, 13, 0, 6, 18, 18}, {405, 5, 0, 2, 18, 18},
+    {457, 7, 0, 4, 18, 18},  {455, 7, 0, 3, 18, 18},  {466, 9, 0, 3, 18, 18},
+    {451, 5, 0, 2, 18, 18},  {454, 4, 0, 1, 18, 18},
+};
+
+/// Every field but virtual_time_us against the pinned fleet. The bit and
+/// message tallies are a pure function of drive()'s charges (salt 5s, one
+/// message per player, direction and phase); the rest are the literals.
+void expect_pinned_fleet(const std::vector<WireStats>& fleet) {
+  ASSERT_EQ(fleet.size(), std::size(kPinnedOneShardFleet));
+  for (std::size_t s = 0; s < fleet.size(); ++s) {
+    SCOPED_TRACE("session " + std::to_string(s + 1));
+    const WireStats& w = fleet[s];
+    const FleetCounters& want = kPinnedOneShardFleet[s];
+    const std::uint64_t salt = 5 * s;
+    const std::uint64_t up = 48 + salt;
+    const std::uint64_t down = 16 + salt;
+    EXPECT_EQ(w.up_bits, std::vector<std::uint64_t>(3, 3 * up + 3));  // phases add 0 + 1 + 2
+    EXPECT_EQ(w.down_bits, std::vector<std::uint64_t>(3, 3 * down));
+    EXPECT_EQ(w.up_msgs, std::vector<std::uint64_t>(3, 3));
+    EXPECT_EQ(w.down_msgs, std::vector<std::uint64_t>(3, 3));
+    EXPECT_EQ(w.phase_bits, (std::vector<std::uint64_t>{3 * (up + down), 3 * (up + 1 + down),
+                                                        3 * (up + 2 + down)}));
+    EXPECT_EQ(w.wire_bytes, want.wire_bytes);
+    EXPECT_EQ(w.retransmissions, want.retransmissions);
+    EXPECT_EQ(w.duplicates, want.duplicates);
+    EXPECT_EQ(w.corrupt_frames, want.corrupt_frames);
+    EXPECT_EQ(w.acks, want.acks);
+    EXPECT_EQ(w.frames_delivered, want.frames_delivered);
+    EXPECT_EQ(w.crashes, 0u);
+    EXPECT_EQ(w.player_down_frames, 0u);
+    EXPECT_EQ(w.resume_frames, 0u);
+    EXPECT_EQ(w.replayed_charges, 0u);
+  }
+}
+
 TEST(NetShard, StatsBitIdenticalAcrossShardCounts) {
   const std::vector<WireStats> one = run_fleet(1, /*affinity=*/0);
+  {
+    SCOPED_TRACE("num_shards 1 against the pinned fleet");
+    expect_pinned_fleet(one);
+  }
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
     SCOPED_TRACE("num_shards " + std::to_string(shards));
     const std::vector<WireStats> many = run_fleet(shards, /*affinity=*/0);
@@ -144,71 +199,78 @@ TEST(NetShard, AffinityPinsPlacementWithoutPerturbingAByte) {
 
 /// Shards with no sessions must publish idle laps into the quiescence hub,
 /// or one busy shard could never advance the virtual clock. One session on
-/// a 4-shard servicer leaves three shards permanently empty; a lossy plan
+/// a 4-shard servicer leaves three shards permanently empty; at 1 shard the
+/// hub has a single slot, which must advance on its own. A lossy plan
 /// forces timeout-driven retransmissions, which only fire if the clock
 /// keeps advancing past retry deadlines.
 TEST(NetShard, EmptyShardsDoNotWedgeTheVirtualClock) {
-  InProcTransport transport;
-  SharedServicer servicer(shard_options(4));
-  servicer.start();
-  SharedServicer::SessionOptions so;
-  so.num_players = 3;
-  so.session_id = 7;
-  so.faults = lossy_plan();
-  const std::size_t sidx = servicer.open_session(transport, so);
-  const WireStats w = drive(servicer, sidx, 2);
-  servicer.finish();
-  servicer.rethrow_error();
-  EXPECT_GT(w.payload_bits(), 0u);
-  EXPECT_GT(w.retransmissions, 0u) << "the clock never reached a retry deadline";
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("num_shards " + std::to_string(shards));
+    InProcTransport transport;
+    SharedServicer servicer(shard_options(shards));
+    servicer.start();
+    SharedServicer::SessionOptions so;
+    so.num_players = 3;
+    so.session_id = 7;
+    so.faults = lossy_plan();
+    const std::size_t sidx = servicer.open_session(transport, so);
+    const WireStats w = drive(servicer, sidx, 2);
+    servicer.finish();
+    servicer.rethrow_error();
+    EXPECT_GT(w.payload_bits(), 0u);
+    EXPECT_GT(w.retransmissions, 0u) << "the clock never reached a retry deadline";
+  }
 }
 
 /// Sessions whose links black-hole every frame still fail typed — and only
-/// them — when their corpse shares a shard table with healthy neighbors
-/// across shards.
+/// them — whether their corpse shares the one shard with healthy neighbors
+/// or sits on a shard of its own.
 TEST(NetShard, FailureContainmentHoldsAcrossShards) {
-  InProcTransport transport;
-  SharedServicer servicer(shard_options(4));
-  servicer.start();
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("num_shards " + std::to_string(shards));
+    InProcTransport transport;
+    SharedServicer servicer(shard_options(shards));
+    servicer.start();
 
-  SharedServicer::SessionOptions faulty;
-  faulty.num_players = 3;
-  faulty.session_id = 1;
-  FaultPlan black_hole;
-  black_hole.seed = 7;
-  black_hole.drop = 1.0;
-  faulty.faults = black_hole;
-  const std::size_t bad = servicer.open_session(transport, faulty);
+    SharedServicer::SessionOptions faulty;
+    faulty.num_players = 3;
+    faulty.session_id = 1;
+    FaultPlan black_hole;
+    black_hole.seed = 7;
+    black_hole.drop = 1.0;
+    faulty.faults = black_hole;
+    const std::size_t bad = servicer.open_session(transport, faulty);
 
-  std::vector<std::size_t> good(3);
-  for (std::size_t s = 0; s < good.size(); ++s) {
-    SharedServicer::SessionOptions clean;
-    clean.num_players = 3;
-    clean.session_id = static_cast<std::uint32_t>(s + 2);
-    good[s] = servicer.open_session(transport, clean);
-  }
-
-  std::optional<NetErrorKind> bad_kind;
-  std::vector<WireStats> good_w(good.size());
-  std::vector<std::thread> drivers;
-  drivers.emplace_back([&] {
-    try {
-      (void)drive(servicer, bad, 0);
-    } catch (const NetError& e) {
-      bad_kind = e.kind();
+    std::vector<std::size_t> good(3);
+    for (std::size_t s = 0; s < good.size(); ++s) {
+      SharedServicer::SessionOptions clean;
+      clean.num_players = 3;
+      clean.session_id = static_cast<std::uint32_t>(s + 2);
+      good[s] = servicer.open_session(transport, clean);
     }
-    (void)servicer.close_session(bad);
-  });
-  for (std::size_t s = 0; s < good.size(); ++s) {
-    drivers.emplace_back([&, s] { good_w[s] = drive(servicer, good[s], 3 + s); });
-  }
-  for (auto& t : drivers) t.join();
-  servicer.finish();
-  servicer.rethrow_error();
 
-  ASSERT_TRUE(bad_kind.has_value()) << "a 100% lossy session must fail typed";
-  EXPECT_EQ(*bad_kind, NetErrorKind::kTimeout);
-  for (const WireStats& w : good_w) EXPECT_GT(w.payload_bits(), 0u);
+    std::optional<NetErrorKind> bad_kind;
+    std::vector<WireStats> good_w(good.size());
+    std::vector<std::thread> drivers;
+    drivers.emplace_back([&] {
+      try {
+        (void)drive(servicer, bad, 0);
+      } catch (const NetError& e) {
+        bad_kind = e.kind();
+      }
+      (void)servicer.close_session(bad);
+    });
+    for (std::size_t s = 0; s < good.size(); ++s) {
+      drivers.emplace_back([&, s] { good_w[s] = drive(servicer, good[s], 3 + s); });
+    }
+    for (auto& t : drivers) t.join();
+    servicer.finish();
+    servicer.rethrow_error();
+
+    ASSERT_TRUE(bad_kind.has_value()) << "a 100% lossy session must fail typed";
+    EXPECT_EQ(*bad_kind, NetErrorKind::kTimeout);
+    for (const WireStats& w : good_w) EXPECT_GT(w.payload_bits(), 0u);
+  }
 }
 
 /// The crash-chaos grammar at 4 shards: kill a player at the boundary, the

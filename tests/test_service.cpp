@@ -211,11 +211,15 @@ class WorkerGate {
 TEST(ServiceCoordinatorTest, FairSharePickRoundRobinsAcrossTenants) {
   using Queued = std::vector<std::string_view>;
   const std::vector<std::string> ab{"a", "b"};
-  // Tenant a was just served (cursor past a), then a, a, b queued: the lone
-  // b goes next, and a's oldest after it.
-  FairSharePick pick = fair_share_pick(Queued{"a", "a", "b"}, ab, 1);
+  // Tenant a, alone in the rotation, is served; then b joins and a, a, b
+  // queue: the cursor must sit past a, not wrap back onto it, so b goes
+  // next and a's oldest after it.
+  FairSharePick pick = fair_share_pick(Queued{"a"}, std::vector<std::string>{"a"}, 0);
+  EXPECT_EQ(pick.queue_index, 0u);
+  EXPECT_EQ(pick.cursor, 1u);
+  pick = fair_share_pick(Queued{"a", "a", "b"}, ab, pick.cursor);
   EXPECT_EQ(pick.queue_index, 2u);
-  EXPECT_EQ(pick.cursor, 0u);
+  EXPECT_EQ(pick.cursor, 2u);
   pick = fair_share_pick(Queued{"a", "a"}, ab, pick.cursor);
   EXPECT_EQ(pick.queue_index, 0u);
   EXPECT_EQ(pick.cursor, 1u);
@@ -227,10 +231,14 @@ TEST(ServiceCoordinatorTest, FairSharePickRoundRobinsAcrossTenants) {
   pick = fair_share_pick(Queued{"c", "b", "a", "b"}, std::vector<std::string>{"a", "b", "c"}, 1);
   EXPECT_EQ(pick.queue_index, 1u);
   EXPECT_EQ(pick.cursor, 2u);
-  // Three tenants from the last: c, then the scan wraps to a.
+  // Three tenants from the last: c, and the cursor past it wraps to a on
+  // the next scan.
   pick = fair_share_pick(Queued{"a", "c"}, std::vector<std::string>{"a", "b", "c"}, 2);
   EXPECT_EQ(pick.queue_index, 1u);
-  EXPECT_EQ(pick.cursor, 0u);
+  EXPECT_EQ(pick.cursor, 3u);
+  pick = fair_share_pick(Queued{"a"}, std::vector<std::string>{"a", "b", "c"}, pick.cursor);
+  EXPECT_EQ(pick.queue_index, 0u);
+  EXPECT_EQ(pick.cursor, 1u);
   // No rotation at all: the oldest item, cursor unchanged.
   pick = fair_share_pick(Queued{"x", "y"}, std::vector<std::string>{}, 3);
   EXPECT_EQ(pick.queue_index, 0u);
@@ -271,7 +279,7 @@ TEST(ServiceCoordinatorTest, FairShareRoundRobinsAcrossTenants) {
   const auto turn = [&served](std::uint64_t seed) {
     return std::find(served.begin(), served.end(), seed) - served.begin();
   };
-  EXPECT_LT(turn(4), turn(3)) << "fair-share must not serve tenant a twice before b";
+  EXPECT_LT(turn(4), turn(2)) << "b joined while a was served: b goes before a's next session";
   EXPECT_LT(turn(2), turn(3)) << "FIFO within tenant a";
 }
 
@@ -369,6 +377,62 @@ TEST(ServiceDaemonTest, ReapsFinishedHandlerThreads) {
   EXPECT_LT(growth_kib, kRequests * 1024) << "VmSize grew by " << growth_kib / 1024
                                           << " MiB over " << kRequests << " requests";
   daemon.shutdown();
+}
+
+/// A raw loopback connection to `port` that speaks only when told to; -1
+/// when it cannot connect.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
+    (void)::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// shutdown() must not wait on clients that never finish their request: a
+/// silent connection and one that sent half a length prefix are stopped,
+/// while a request whose spec already arrived is still served. The silent
+/// sockets close once shutdown() returns or 2 s have passed, so a daemon
+/// that waits on them fails this test instead of hanging it.
+TEST(ServiceDaemonTest, ShutdownDoesNotWaitForASilentClient) {
+  if (!net::LoopbackSocketTransport::available()) {
+    GTEST_SKIP() << "no loopback networking in this environment";
+  }
+  ServiceDaemon daemon(inproc_config(/*live=*/1, /*pending=*/4));
+  WorkerGate gate;
+  daemon.coordinator().set_before_execute([&](const SessionSpec& spec) {
+    if (spec.seed == 41) gate.hold();
+  });
+  const int silent = connect_raw(daemon.port());
+  const int partial = connect_raw(daemon.port());
+  ASSERT_GE(silent, 0);
+  ASSERT_GE(partial, 0);
+  const std::uint8_t half_prefix[2] = {8, 0};
+  ASSERT_EQ(::write(partial, half_prefix, sizeof(half_prefix)), 2);
+  // Accepted after the two above, so once its session is running, all
+  // three connections have handlers.
+  ServiceReply served;
+  std::thread client([&] { served = request(daemon.port(), small_spec(41)); });
+  gate.wait_entered();
+
+  auto stopped = std::async(std::launch::async, [&] { daemon.shutdown(); });
+  gate.open();
+  const bool returned = stopped.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  (void)::close(silent);
+  (void)::close(partial);
+  stopped.wait();
+  client.join();
+  EXPECT_TRUE(returned) << "shutdown() waited on clients that never sent their request";
+  EXPECT_NE(served.status, ReplyStatus::kError) << served.error;
+  EXPECT_NE(served.status, ReplyStatus::kBusy) << served.error;
+  EXPECT_TRUE(served.accounting_exact);
+  EXPECT_EQ(daemon.coordinator().sessions_completed(), 1u);
 }
 
 // ---- spec versioning: the shard-affinity field ------------------------------

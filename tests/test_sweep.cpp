@@ -6,21 +6,18 @@
 #include <string>
 #include <vector>
 
-#include "comm/conformance.h"
-#include "comm/transcript.h"
 #include "core/oneway_vee.h"
 #include "graph/instance_cache.h"
 #include "graph/partition.h"
 #include "lower_bounds/budget_search.h"
 #include "lower_bounds/mu_distribution.h"
 #include "util/parallel.h"
-#include "util/pool.h"
 #include "util/rng.h"
 
-// Determinism contracts of the sweep layer (instance cache, transcript
-// pooling, adaptive budget search). Every optimization must be invisible:
-// byte-identical transcripts, curves and min-budgets with each switch on or
-// off, at any thread count. See EXPERIMENTS.md "Sweep methodology".
+// Determinism contracts of the sweep layer (instance cache, adaptive budget
+// search). Every optimization must be invisible: byte-identical curves and
+// min-budgets with each switch on or off, at any thread count. See
+// EXPERIMENTS.md "Sweep methodology".
 
 namespace tft {
 namespace {
@@ -30,7 +27,6 @@ namespace {
 struct SweepSwitchGuard {
   ~SweepSwitchGuard() {
     set_instance_caching(true);
-    set_buffer_pooling(true);
     set_default_threads(0);
   }
 };
@@ -99,88 +95,6 @@ void expect_byte_identical(const BudgetSearchResult& a, const BudgetSearchResult
     EXPECT_EQ(a.curve[i].success.successes, b.curve[i].success.successes) << "probe " << i;
     EXPECT_EQ(a.curve[i].success.trials, b.curve[i].success.trials) << "probe " << i;
   }
-}
-
-// ---------- transcript pooling ----------
-
-TEST(SweepPool, PooledTranscriptsByteIdenticalToFresh) {
-  SweepSwitchGuard guard;
-  Rng rng(11);
-  const auto mu = sample_mu(256, 0.9, rng);
-  const auto players = partition_mu_three(mu);
-
-  const auto run_formatted = [&](bool pooling) -> std::vector<std::string> {
-    set_buffer_pooling(pooling);
-    std::vector<std::string> out;
-    // Several runs so a pooled transcript actually gets reused (run 2+ draws
-    // run 1's retired transcript from the thread's free list).
-    for (std::uint64_t s = 0; s < 4; ++s) {
-      TranscriptCapture capture;
-      OneWayOptions o;
-      o.seed = 100 + s;
-      o.budget_edges_per_player = 32;
-      (void)oneway_vee_find_edge(players, mu.layout, o);
-      EXPECT_EQ(capture.runs().size(), 1u);
-      if (capture.runs().size() != 1) return out;
-      out.push_back(
-          format_transcript(capture.runs()[0].model, capture.runs()[0].transcript));
-    }
-    return out;
-  };
-
-  const auto fresh = run_formatted(false);
-  reset_pool_stats();
-  const auto pooled = run_formatted(true);
-  ASSERT_EQ(fresh.size(), pooled.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(fresh[i], pooled[i]) << "run " << i;
-  }
-  const PoolStats stats = pool_stats();
-  EXPECT_GT(stats.acquires, 0u);
-  EXPECT_GT(stats.reuses, 0u);  // the free list actually served runs 2..4
-}
-
-TEST(SweepPool, PoolingOffNeverReuses) {
-  SweepSwitchGuard guard;
-  set_buffer_pooling(false);
-  reset_pool_stats();
-  Rng rng(12);
-  const auto mu = sample_mu(128, 0.9, rng);
-  const auto players = partition_mu_three(mu);
-  for (std::uint64_t s = 0; s < 3; ++s) {
-    OneWayOptions o;
-    o.seed = s;
-    o.budget_edges_per_player = 16;
-    (void)oneway_vee_find_edge(players, mu.layout, o);
-  }
-  const PoolStats stats = pool_stats();
-  EXPECT_GT(stats.acquires, 0u);
-  EXPECT_EQ(stats.reuses, 0u);
-}
-
-TEST(SweepPool, TranscriptResetMatchesFreshlyConstructed) {
-  Transcript t(4, 1000);
-  t.charge(0, Direction::kPlayerToCoordinator, 17, /*phase=*/2);
-  t.charge_broadcast(5, /*phase=*/1);
-  ASSERT_GT(t.total_bits(), 0u);
-  ASSERT_FALSE(t.events().empty());
-
-  t.reset(3, 500);
-  const Transcript fresh(3, 500);
-  EXPECT_EQ(t.num_players(), fresh.num_players());
-  EXPECT_EQ(t.universe(), fresh.universe());
-  EXPECT_EQ(t.total_bits(), 0u);
-  EXPECT_EQ(t.upstream_bits(), 0u);
-  EXPECT_EQ(t.downstream_bits(), 0u);
-  EXPECT_TRUE(t.events().empty());
-  EXPECT_EQ(t.num_phases(), 0u);
-  EXPECT_TRUE(t.record_events());
-  // The reset transcript charges exactly like a fresh one.
-  t.charge(1, Direction::kCoordinatorToPlayer, 9);
-  Transcript f2(3, 500);
-  f2.charge(1, Direction::kCoordinatorToPlayer, 9);
-  EXPECT_EQ(format_transcript(CommModel::kCoordinator, t),
-            format_transcript(CommModel::kCoordinator, f2));
 }
 
 // ---------- instance cache ----------
