@@ -16,15 +16,29 @@ void BitWriter::put_bit(bool b) {
 
 void BitWriter::put_bits(std::uint64_t value, std::uint32_t width) {
   if (width > 64) throw std::invalid_argument("BitWriter::put_bits: width > 64");
-  for (std::uint32_t i = width; i > 0; --i) {
-    put_bit(((value >> (i - 1)) & 1) != 0);
+  // `left` counts the bits of `value` still to write. Every shift below is
+  // by less than 64, so widths 0 and 64 are defined behaviour too.
+  std::uint32_t left = width;
+  const auto used = static_cast<std::uint32_t>(bits_ % 8);
+  bits_ += width;
+  if (used != 0 && left != 0) {
+    // Top up the partial last byte first.
+    const std::uint32_t take = std::min(8 - used, left);
+    left -= take;
+    const auto chunk = static_cast<std::uint32_t>(value >> left) & ((1U << take) - 1);
+    bytes_.back() |= static_cast<std::uint8_t>(chunk << (8 - used - take));
   }
+  while (left >= 8) {
+    left -= 8;
+    bytes_.push_back(static_cast<std::uint8_t>(value >> left));
+  }
+  if (left != 0) bytes_.push_back(static_cast<std::uint8_t>(value << (8 - left)));
 }
 
 void BitWriter::put_gamma(std::uint64_t value) {
   const std::uint64_t v = value + 1;  // gamma codes positive integers
   const auto width = static_cast<std::uint32_t>(bit_width_of(v));
-  for (std::uint32_t i = 1; i < width; ++i) put_bit(false);
+  put_bits(0, width - 1);
   put_bits(v, width);
 }
 
@@ -38,8 +52,23 @@ bool BitReader::get_bit() {
 
 std::uint64_t BitReader::get_bits(std::uint32_t width) {
   if (width > 64) throw WireError("BitReader::get_bits: width > 64");
+  if (width > bit_size_ - pos_) throw WireError("BitReader: read past end of buffer");
+  const std::uint8_t* p = bytes_.data() + pos_ / 8;
+  const auto off = static_cast<std::uint32_t>(pos_ % 8);
+  pos_ += width;
+  std::uint32_t left = width;
   std::uint64_t v = 0;
-  for (std::uint32_t i = 0; i < width; ++i) v = (v << 1) | (get_bit() ? 1 : 0);
+  if (off != 0 && left != 0) {
+    // Finish the partial first byte: the top `take` of its unread bits.
+    const std::uint32_t take = std::min(8 - off, left);
+    v = static_cast<std::uint8_t>(*p++ << off) >> (8 - take);
+    left -= take;
+  }
+  while (left >= 8) {
+    v = (v << 8) | *p++;
+    left -= 8;
+  }
+  if (left != 0) v = (v << left) | (*p >> (8 - left));
   return v;
 }
 
@@ -50,9 +79,12 @@ std::uint64_t BitReader::get_gamma() {
     // 64 leading zeros cannot come from any encoder: corrupt input.
     if (++zeros >= 64) throw WireError("BitReader::get_gamma: corrupt prefix");
   }
-  std::uint64_t v = 1;
-  for (std::uint32_t i = 0; i < zeros; ++i) v = (v << 1) | (get_bit() ? 1 : 0);
-  return v - 1;
+  return ((std::uint64_t{1} << zeros) | get_bits(zeros)) - 1;
+}
+
+void BitReader::skip(std::uint64_t bits) {
+  if (bits > bit_size_ - pos_) throw WireError("BitReader: read past end of buffer");
+  pos_ += bits;
 }
 
 namespace {

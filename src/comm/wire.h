@@ -4,6 +4,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -30,17 +31,25 @@ class WireError : public std::out_of_range {
   explicit WireError(const std::string& what) : std::out_of_range(what) {}
 };
 
-/// MSB-first bit writer.
+/// MSB-first bit writer. Fields move a byte per step; pad bits in the last
+/// byte are zero.
 class BitWriter {
  public:
   void put_bit(bool b);
-  /// Lowest `width` bits of `value`, MSB first. width <= 64.
+  /// Lowest `width` bits of `value`, MSB first; bits above `width` are
+  /// ignored. Throws std::invalid_argument when width > 64.
   void put_bits(std::uint64_t value, std::uint32_t width);
   /// Elias-gamma code for value >= 0 (stored as value + 1).
   void put_gamma(std::uint64_t value);
 
   [[nodiscard]] std::uint64_t bit_size() const noexcept { return bits_; }
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
+  /// Hand over the finished buffer without copying it; the writer is left
+  /// empty.
+  [[nodiscard]] std::vector<std::uint8_t> take_bytes() noexcept {
+    bits_ = 0;
+    return std::exchange(bytes_, {});
+  }
 
  private:
   std::vector<std::uint8_t> bytes_;
@@ -58,8 +67,12 @@ class BitReader {
         bit_size_(std::min<std::uint64_t>(bit_size, bytes.size() * std::uint64_t{8})) {}
 
   [[nodiscard]] bool get_bit();
+  /// Next `width` bits, MSB first. Throws WireError when width > 64 or
+  /// fewer than `width` bits remain.
   [[nodiscard]] std::uint64_t get_bits(std::uint32_t width);
   [[nodiscard]] std::uint64_t get_gamma();
+  /// Step over `bits` bits; throws WireError when fewer remain.
+  void skip(std::uint64_t bits);
   [[nodiscard]] std::uint64_t position() const noexcept { return pos_; }
   [[nodiscard]] bool exhausted() const noexcept { return pos_ >= bit_size_; }
   /// Bits left before the reader runs dry.

@@ -21,23 +21,33 @@ std::uint64_t batch_filler_seed(const FrameHeader& h, std::uint64_t index,
                       h.session);
 }
 
-void append_filler(BitWriter& w, std::uint64_t seed, std::uint64_t bits) {
-  std::uint64_t state = seed;
-  while (bits > 0) {
-    const std::uint32_t take = static_cast<std::uint32_t>(std::min<std::uint64_t>(bits, 64));
-    w.put_bits(splitmix64(state) >> (64 - take), take);
-    bits -= take;
+/// One pass over a batch payload. With `check_fill` each record's filler is
+/// compared with its stream as it is read; without, the filler is stepped
+/// over (the frame was verified on receipt).
+bool read_batch(const Frame& f, std::vector<ChargeRec>& out, bool check_fill) {
+  out.clear();
+  if (f.header.type != FrameType::kBatch) return false;
+  try {
+    BitReader r(f.payload, f.header.payload_bits);
+    const std::uint64_t count = r.get_gamma();
+    if (count == 0 || count > f.header.payload_bits) return false;  // >= 1 bit per record
+    out.reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i) {
+      ChargeRec rec;
+      rec.phase = r.get_gamma();
+      rec.bits = r.get_gamma();
+      if (rec.bits > f.header.payload_bits) return false;
+      if (!check_fill) {
+        r.skip(rec.bits);
+      } else if (!check_filler(r, batch_filler_seed(f.header, i, rec.bits), rec.bits)) {
+        return false;
+      }
+      out.push_back(rec);
+    }
+    return r.position() == f.header.payload_bits;  // no trailing garbage
+  } catch (const WireError&) {
+    return false;
   }
-}
-
-[[nodiscard]] bool check_filler(BitReader& r, std::uint64_t seed, std::uint64_t bits) {
-  std::uint64_t state = seed;
-  while (bits > 0) {
-    const std::uint32_t take = static_cast<std::uint32_t>(std::min<std::uint64_t>(bits, 64));
-    if (r.get_bits(take) != splitmix64(state) >> (64 - take)) return false;
-    bits -= take;
-  }
-  return true;
 }
 
 }  // namespace
@@ -88,7 +98,7 @@ Frame make_ack_frame(std::uint32_t src, std::uint32_t dst, const AckInfo& info,
       w.put_gamma(seq_dist(from, s, seq_modulus));
     }
     ack.header.payload_bits = w.bit_size();
-    ack.payload = w.bytes();
+    ack.payload = w.take_bytes();
   }
   return ack;
 }
@@ -135,30 +145,16 @@ Frame make_batch_frame(std::uint32_t src, std::uint32_t dst, std::uint32_t seq,
     append_filler(w, batch_filler_seed(f.header, i, charges[i].bits), charges[i].bits);
   }
   f.header.payload_bits = w.bit_size();
-  f.payload = w.bytes();
+  f.payload = w.take_bytes();
   return f;
 }
 
 bool decode_batch_frame(const Frame& f, std::vector<ChargeRec>& out) {
-  out.clear();
-  if (f.header.type != FrameType::kBatch) return false;
-  try {
-    BitReader r(f.payload, f.header.payload_bits);
-    const std::uint64_t count = r.get_gamma();
-    if (count == 0 || count > f.header.payload_bits) return false;  // >= 1 bit per record
-    out.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ChargeRec rec;
-      rec.phase = r.get_gamma();
-      rec.bits = r.get_gamma();
-      if (rec.bits > f.header.payload_bits) return false;
-      if (!check_filler(r, batch_filler_seed(f.header, i, rec.bits), rec.bits)) return false;
-      out.push_back(rec);
-    }
-    return r.position() == f.header.payload_bits;  // no trailing garbage
-  } catch (const WireError&) {
-    return false;
-  }
+  return read_batch(f, out, true);
+}
+
+bool batch_frame_records(const Frame& f, std::vector<ChargeRec>& out) {
+  return read_batch(f, out, false);
 }
 
 ArqSenderWindow::Entry& ArqSenderWindow::admit(Frame f) {

@@ -168,6 +168,9 @@ struct ChargeRec {
 /// Decode + verify the filler inline. Returns false (corrupt) on any
 /// malformed count/record/filler mismatch; never throws.
 [[nodiscard]] bool decode_batch_frame(const Frame& f, std::vector<ChargeRec>& out);
+/// The records of a batch decode_batch_frame has already verified: the
+/// same walk, stepping over each record's filler instead of comparing it.
+[[nodiscard]] bool batch_frame_records(const Frame& f, std::vector<ChargeRec>& out);
 
 /// Sender half of one link's window: sealed frames are admitted up to
 /// `window` in flight, acknowledged cumulatively and selectively, and

@@ -50,7 +50,7 @@ std::vector<std::uint8_t> encode_checkpoint(const PlayerCheckpoint& ck) {
   w.put_gamma(ck.phase);
   put_lane(w, ck.up);
   put_lane(w, ck.down);
-  return w.bytes();
+  return w.take_bytes();
 }
 
 PlayerCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {

@@ -57,6 +57,14 @@ std::size_t payload_bytes(std::uint64_t payload_bits) {
   return static_cast<std::size_t>((payload_bits + 7) / 8);
 }
 
+/// The one byte string a payload of `bits` bits may have: ceil(bits / 8)
+/// bytes with zero pad bits.
+bool canonical_payload(std::span<const std::uint8_t> payload, std::uint64_t bits) {
+  if (payload.size() != payload_bytes(bits)) return false;
+  const auto pad = static_cast<std::uint32_t>(payload.size() * 8 - bits);
+  return pad == 0 || (payload.back() & ((1U << pad) - 1)) == 0;
+}
+
 /// Header bits as the serialized body carries them.
 BitWriter write_header(const FrameHeader& h) {
   BitWriter w;
@@ -113,12 +121,7 @@ bool decode_body(std::span<const std::uint8_t> body, Frame& out) {
     if (body.size() != header_bytes + want) return false;
     out.payload.assign(body.begin() + static_cast<std::ptrdiff_t>(header_bytes), body.end());
     // Pad bits beyond payload_bits must be zero (canonical encoding).
-    if (const std::uint32_t pad = static_cast<std::uint32_t>(want * 8 - out.header.payload_bits);
-        pad != 0 && !out.payload.empty() &&
-        (out.payload.back() & ((std::uint8_t{1} << pad) - 1)) != 0) {
-      return false;
-    }
-    return true;
+    return canonical_payload(out.payload, out.header.payload_bits);
   } catch (const WireError&) {
     return false;
   }
@@ -131,7 +134,9 @@ std::uint64_t filler_seed(const FrameHeader& h) {
                       h.session);
 }
 
-void append_filler_bits(BitWriter& w, std::uint64_t seed, std::uint64_t bits) {
+}  // namespace
+
+void append_filler(BitWriter& w, std::uint64_t seed, std::uint64_t bits) {
   std::uint64_t state = seed;
   while (bits > 0) {
     const std::uint32_t take = static_cast<std::uint32_t>(std::min<std::uint64_t>(bits, 64));
@@ -140,7 +145,16 @@ void append_filler_bits(BitWriter& w, std::uint64_t seed, std::uint64_t bits) {
   }
 }
 
-}  // namespace
+bool check_filler(BitReader& r, std::uint64_t seed, std::uint64_t bits) {
+  if (r.remaining() < bits) return false;
+  std::uint64_t state = seed;
+  while (bits > 0) {
+    const std::uint32_t take = static_cast<std::uint32_t>(std::min<std::uint64_t>(bits, 64));
+    if (r.get_bits(take) != splitmix64(state) >> (64 - take)) return false;
+    bits -= take;
+  }
+  return true;
+}
 
 std::uint64_t fold_session(std::uint64_t seed, std::uint32_t session) noexcept {
   // Identity for session 0 — the pre-session keying, bit for bit. The tag
@@ -207,12 +221,20 @@ std::size_t frame_wire_bytes(const Frame& f) {
 
 std::vector<std::uint8_t> make_filler_payload(const FrameHeader& h) {
   BitWriter w;
-  append_filler_bits(w, filler_seed(h), h.payload_bits);
-  return w.bytes();
+  append_filler(w, filler_seed(h), h.payload_bits);
+  return w.take_bytes();
 }
 
 bool verify_filler_payload(const Frame& f) {
-  return f.payload == make_filler_payload(f.header);
+  const FrameHeader& h = f.header;
+  if (!canonical_payload(f.payload, h.payload_bits)) return false;
+  // A relay's payload leads with the recipient id (relays always go to the
+  // coordinator, so dst is k); its filler follows.
+  const std::uint64_t lead = h.type == FrameType::kRelay ? vertex_bits(h.dst) : 0;
+  if (h.payload_bits < lead) return false;
+  BitReader r(f.payload, h.payload_bits);
+  r.skip(lead);
+  return check_filler(r, filler_seed(h), h.payload_bits - lead);
 }
 
 Frame make_relay_frame(std::uint32_t src, std::uint32_t seq, std::size_t k,
@@ -227,8 +249,8 @@ Frame make_relay_frame(std::uint32_t src, std::uint32_t seq, std::size_t k,
   f.header.session = session;
   BitWriter w;
   w.put_bits(recipient, vertex_bits(static_cast<std::uint64_t>(k)));
-  append_filler_bits(w, filler_seed(f.header), message_bits);
-  f.payload = w.bytes();
+  append_filler(w, filler_seed(f.header), message_bits);
+  f.payload = w.take_bytes();
   return f;
 }
 

@@ -33,6 +33,11 @@
 /// resynchronization anchor: the fault injector never corrupts it, so a
 /// flipped body never desynchronizes the byte stream.
 
+namespace tft {
+class BitReader;
+class BitWriter;
+}  // namespace tft
+
 namespace tft::net {
 
 enum class FrameType : std::uint8_t {
@@ -86,13 +91,25 @@ void serialize_frame_into(const Frame& f, std::vector<std::uint8_t>& out);
 /// Bytes `serialize_frame` produces for this frame (without materializing).
 [[nodiscard]] std::size_t frame_wire_bytes(const Frame& f);
 
+/// The one filler stream behind every charged bit (kData, kRelay, and each
+/// kBatch record): successive splitmix64 draws from `seed`, 64 bits each,
+/// the last cut to its top bits, appended MSB-first.
+void append_filler(BitWriter& w, std::uint64_t seed, std::uint64_t bits);
+/// The one filler check: reads `bits` bits from `r` and compares them with
+/// the stream as it goes, without building a copy. False on a mismatch or
+/// when fewer than `bits` bits remain.
+[[nodiscard]] bool check_filler(BitReader& r, std::uint64_t seed, std::uint64_t bits);
+
 /// Deterministic payload for a charge-driven data frame: a splitmix64
 /// stream keyed by (src, dst, seq, payload_bits) — with the session id
 /// folded in when nonzero, so two sessions never share a filler stream —
-/// truncated to payload_bits with zero pad bits. Receivers regenerate and
-/// compare — corruption that slipped past the CRC (or a codec bug) is
+/// truncated to payload_bits with zero pad bits. Receivers compare against
+/// the stream — corruption that slipped past the CRC (or a codec bug) is
 /// caught here.
 [[nodiscard]] std::vector<std::uint8_t> make_filler_payload(const FrameHeader& h);
+/// True when the payload is exactly what the sender generates: the byte
+/// count of payload_bits, zero pad bits, and the filler stream — after the
+/// recipient id for kRelay, over the whole payload otherwise.
 [[nodiscard]] bool verify_filler_payload(const Frame& f);
 
 /// Fold a nonzero session id into a keying seed; the identity for session 0,

@@ -17,7 +17,7 @@ Frame make_player_down_frame(std::uint32_t src, std::uint32_t dst, std::uint32_t
   w.put_gamma(player);
   w.put_gamma(phase);
   f.header.payload_bits = w.bit_size();
-  f.payload = w.bytes();
+  f.payload = w.take_bytes();
   return f;
 }
 

@@ -804,7 +804,8 @@ void SharedServicer::accept_frame(Shard& sh, LinkState& link, const Frame& f) {
     link.rstats.phase_bits[static_cast<std::size_t>(phase)] += bits;
   };
   if (f.header.type == FrameType::kBatch) {
-    if (!decode_batch_frame(f, link.batch_scratch)) {
+    // Its filler was checked on receipt; only the records are read here.
+    if (!batch_frame_records(f, link.batch_scratch)) {
       throw NetError(NetErrorKind::kProtocol, "verified batch failed to re-decode");
     }
     for (const ChargeRec& rec : link.batch_scratch) tally(rec.phase, rec.bits);
@@ -849,12 +850,12 @@ void SharedServicer::handle_data_frame(Shard& sh, LinkState& link, Frame f) {
     ++link.rstats.corrupt;  // CRC-valid but misaddressed (or cross-session): broken peer
     return;
   }
-  // Integrity beyond the CRC before the frame can enter the window.
-  if (f.header.type == FrameType::kData && !verify_filler_payload(f)) {
-    ++link.rstats.corrupt;
-    return;
-  }
-  if (f.header.type == FrameType::kBatch && !decode_batch_frame(f, link.batch_scratch)) {
+  // Integrity beyond the CRC before the frame can enter the window: every
+  // charged bit of kData, kRelay and kBatch is compared with its filler.
+  const bool intact = f.header.type == FrameType::kBatch
+                          ? decode_batch_frame(f, link.batch_scratch)
+                          : verify_filler_payload(f);
+  if (!intact) {
     ++link.rstats.corrupt;
     return;
   }

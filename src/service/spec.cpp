@@ -75,7 +75,7 @@ std::vector<std::uint8_t> encode_spec(const SessionSpec& spec) {
   w.put_gamma(spec.param);
   put_string(w, spec.tenant);
   if (spec.shard_affinity != 0) w.put_gamma(spec.shard_affinity);
-  return w.bytes();
+  return w.take_bytes();
 }
 
 SessionSpec decode_spec(std::span<const std::uint8_t> bytes) {
@@ -185,7 +185,7 @@ std::vector<std::uint8_t> encode_reply(const ServiceReply& reply) {
   w.put_bits(reply.accounting_exact ? 1 : 0, 1);
   w.put_bits(reply.conformance_ok ? 1 : 0, 1);
   put_string(w, reply.error);
-  return w.bytes();
+  return w.take_bytes();
 }
 
 ServiceReply decode_reply(std::span<const std::uint8_t> bytes) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 /// \file bits.h
@@ -15,12 +16,7 @@ namespace tft {
 
 /// Number of bits needed to represent values in [0, x], at least 1.
 [[nodiscard]] constexpr std::uint64_t bit_width_of(std::uint64_t x) noexcept {
-  std::uint64_t w = 1;
-  while (x > 1) {
-    x >>= 1;
-    ++w;
-  }
-  return w;
+  return x == 0 ? 1 : static_cast<std::uint64_t>(std::bit_width(x));
 }
 
 /// Bits charged for one vertex id from a universe of n vertices.

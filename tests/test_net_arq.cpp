@@ -193,6 +193,35 @@ TEST(NetArq, BatchCodecRoundTripsAndRejectsTampering) {
   EXPECT_FALSE(decode_batch_frame(data_frame(0), out));
 }
 
+TEST(NetArq, BatchCodecRecordsPassReadsWhatTheCheckedDecodeReads) {
+  const std::vector<ChargeRec> charges = {{1, 3}, {1, 200}, {4, 1}, {4, 65}};
+  const Frame f = make_batch_frame(/*src=*/2, /*dst=*/7, /*seq=*/11, charges, /*session=*/3);
+  std::vector<ChargeRec> checked;
+  std::vector<ChargeRec> records;
+  ASSERT_TRUE(decode_batch_frame(f, checked));
+  ASSERT_TRUE(batch_frame_records(f, records));
+  ASSERT_EQ(records.size(), checked.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].phase, checked[i].phase);
+    EXPECT_EQ(records[i].bits, checked[i].bits);
+  }
+
+  // The records pass steps over filler without comparing it (the checked
+  // decode on receipt already did), so a flipped filler bit fails only the
+  // checked decode. The last payload bit is filler of the last record.
+  Frame bad = f;
+  const std::uint64_t last = f.header.payload_bits - 1;
+  bad.payload[last / 8] ^= static_cast<std::uint8_t>(0x80U >> (last % 8));
+  EXPECT_FALSE(decode_batch_frame(bad, checked));
+  EXPECT_TRUE(batch_frame_records(bad, records));
+
+  // Structure is still checked: truncation and the wrong type refuse.
+  Frame truncated = f;
+  truncated.header.payload_bits -= 1;
+  EXPECT_FALSE(batch_frame_records(truncated, records));
+  EXPECT_FALSE(batch_frame_records(data_frame(0), records));
+}
+
 TEST(NetArq, AckCodecRoundTripsSelectiveAcks) {
   AckInfo info;
   info.cumulative = 4;

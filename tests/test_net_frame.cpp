@@ -155,6 +155,24 @@ TEST(NetFrame, RelayFrameCarriesRecipientInVertexBitsOfK) {
   EXPECT_EQ(decode_relay_recipient(out, k), 4u);
 }
 
+TEST(NetFrame, RelayFillerIsCheckedAfterTheRecipientId) {
+  // k = 6: a 3-bit recipient id, then 50 message bits of filler.
+  const Frame f = make_relay_frame(/*src=*/1, /*seq=*/9, /*k=*/6, /*recipient=*/4,
+                                   /*message_bits=*/50);
+  EXPECT_TRUE(verify_filler_payload(f));
+  const std::uint32_t id_bits = vertex_bits(6);
+  for (std::uint64_t bit = id_bits; bit < f.header.payload_bits; ++bit) {
+    Frame bad = f;
+    bad.payload[bit / 8] ^= static_cast<std::uint8_t>(0x80U >> (bit % 8));
+    EXPECT_FALSE(verify_filler_payload(bad)) << "message bit " << bit - id_bits;
+  }
+  // Too short to hold the recipient id, though canonical as a payload.
+  Frame truncated = f;
+  truncated.header.payload_bits = id_bits - 1;
+  truncated.payload = {static_cast<std::uint8_t>(f.payload[0] & 0xC0)};
+  EXPECT_FALSE(verify_filler_payload(truncated));
+}
+
 TEST(NetFrame, RelayRecipientOutsideKIsTyped) {
   const std::size_t k = 4;
   Frame f = make_relay_frame(0, 0, k, 3, 8);

@@ -73,6 +73,25 @@ TEST(NetSessionFrame, SessionZeroBytesMatchTheFrozenPreSessionWire) {
             "0d000000f7a728e2a0d88c3dc27ebf88d01e990f0e");
 }
 
+/// Frames past one 64-bit filler draw, frozen as CRC-32s of the
+/// serialize_frame output (their hex would run to 100 KB). Recorded with the
+/// bit-at-a-time codec, so they pin the byte-wise one to the same bytes.
+TEST(NetSessionFrame, LargeFramesMatchTheFrozenWire) {
+  const auto frozen = [](const Frame& f) {
+    const std::vector<std::uint8_t> wire = serialize_frame(f);
+    std::ostringstream out;
+    out << std::hex << std::setw(8) << std::setfill('0') << crc32(wire) << std::dec << " "
+        << wire.size();
+    return out.str();
+  };
+  EXPECT_EQ(frozen(data_frame(1, 4, 7, 2, 800'003)), "ea51ca71 100019");
+  EXPECT_EQ(frozen(data_frame(1, 4, 7, 2, 800'003, 9)), "48a23b3f 100020");
+  std::vector<ChargeRec> charges;
+  for (std::uint64_t i = 0; i < 64; ++i) charges.push_back({3, 1 + (37 * i) % 130});
+  EXPECT_EQ(frozen(make_batch_frame(2, 4, 3, charges, 0)), "7b6abba6 709");
+  EXPECT_EQ(frozen(make_relay_frame(1, 9, 6, 4, 100'003)), "eb6cd022 12518");
+}
+
 TEST(NetSessionFrame, V2HeaderRoundTripsTheSessionId) {
   for (const std::uint32_t session : {1u, 2u, 63u, 100'000u}) {
     const Frame f = data_frame(2, 5, 41, 3, 37, session);

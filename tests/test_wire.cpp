@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <vector>
+
 #include "comm/wire.h"
 #include "graph/generators.h"
 #include "util/bits.h"
@@ -7,6 +12,197 @@
 
 namespace tft {
 namespace {
+
+/// The bit-at-a-time codec the byte-wise BitWriter and BitReader replaced,
+/// kept as the specification they must match bit for bit.
+struct RefWriter {
+  std::vector<std::uint8_t> bytes;
+  std::uint64_t bits = 0;
+
+  void put_bit(bool b) {
+    if (bits / 8 >= bytes.size()) bytes.push_back(0);
+    if (b) bytes[bits / 8] |= static_cast<std::uint8_t>(0x80U >> (bits % 8));
+    ++bits;
+  }
+  void put_bits(std::uint64_t value, std::uint32_t width) {
+    for (std::uint32_t i = width; i > 0; --i) put_bit(((value >> (i - 1)) & 1) != 0);
+  }
+  void put_gamma(std::uint64_t value) {
+    const std::uint64_t v = value + 1;
+    std::uint32_t width = 1;
+    for (std::uint64_t x = v; x > 1; x >>= 1) ++width;
+    for (std::uint32_t i = 1; i < width; ++i) put_bit(false);
+    put_bits(v, width);
+  }
+};
+
+struct RefReader {
+  std::span<const std::uint8_t> bytes;
+  std::uint64_t bit_size;
+  std::uint64_t pos = 0;
+
+  bool get_bit() {
+    if (pos >= bit_size) throw WireError("reference reader: past end");
+    const bool b = (bytes[pos / 8] & (0x80U >> (pos % 8))) != 0;
+    ++pos;
+    return b;
+  }
+  std::uint64_t get_bits(std::uint32_t width) {
+    std::uint64_t v = 0;
+    for (std::uint32_t i = 0; i < width; ++i) v = (v << 1) | (get_bit() ? 1 : 0);
+    return v;
+  }
+  std::uint64_t get_gamma() {
+    std::uint32_t zeros = 0;
+    while (!get_bit()) {
+      if (++zeros >= 64) throw WireError("reference reader: corrupt prefix");
+    }
+    std::uint64_t v = 1;
+    for (std::uint32_t i = 0; i < zeros; ++i) v = (v << 1) | (get_bit() ? 1 : 0);
+    return v - 1;
+  }
+};
+
+/// One write: a fixed-width field (with junk above `width` in `value`) or a
+/// gamma code.
+struct CodecOp {
+  bool gamma = false;
+  std::uint64_t value = 0;
+  std::uint32_t width = 0;
+
+  [[nodiscard]] std::uint64_t expected() const {
+    return gamma || width == 64 ? value : value & ((std::uint64_t{1} << width) - 1);
+  }
+};
+
+/// A random stream: a 0-7 bit start offset, then fixed-width fields of
+/// width 0-64 and gamma codes whose value + 1 has 1-64 significant bits,
+/// so every value from 0 to 2^64 - 2 is in reach.
+std::vector<CodecOp> random_ops(Rng& rng, std::uint32_t count) {
+  std::vector<CodecOp> ops;
+  ops.push_back({false, rng(), static_cast<std::uint32_t>(rng.below(8))});
+  for (std::uint32_t i = 0; i < count; ++i) {
+    CodecOp op;
+    op.gamma = rng.below(2) == 0;
+    if (op.gamma) {
+      const auto bits = static_cast<std::uint32_t>(1 + rng.below(64));
+      const std::uint64_t top = std::uint64_t{1} << (bits - 1);
+      op.value = (top | (rng() & (top - 1))) - 1;
+    } else {
+      op.width = static_cast<std::uint32_t>(rng.below(65));
+      op.value = rng();
+    }
+    ops.push_back(op);
+  }
+  return ops;
+}
+
+template <typename Writer>
+void write_ops(Writer& w, const std::vector<CodecOp>& ops) {
+  for (const CodecOp& op : ops) {
+    if (op.gamma) {
+      w.put_gamma(op.value);
+    } else {
+      w.put_bits(op.value, op.width);
+    }
+  }
+}
+
+/// Reads the ops back; returns how many decoded before a WireError.
+template <typename Reader>
+std::size_t read_ops(Reader& r, const std::vector<CodecOp>& ops,
+                     std::vector<std::uint64_t>& values) {
+  values.clear();
+  try {
+    for (const CodecOp& op : ops) values.push_back(op.gamma ? r.get_gamma() : r.get_bits(op.width));
+  } catch (const WireError&) {
+  }
+  return values.size();
+}
+
+TEST(BitStream, ByteWiseCodecMatchesTheBitByBitReference) {
+  Rng rng(0xB17C0DEC);
+  std::vector<std::uint64_t> got;
+  std::vector<std::uint64_t> want;
+  for (int trial = 0; trial < 150; ++trial) {
+    const auto ops = random_ops(rng, static_cast<std::uint32_t>(1 + rng.below(10)));
+    BitWriter w;
+    RefWriter ref;
+    write_ops(w, ops);
+    write_ops(ref, ops);
+    ASSERT_EQ(w.bit_size(), ref.bits) << "trial " << trial;
+    ASSERT_EQ(w.bytes(), ref.bytes) << "trial " << trial;
+
+    BitReader r(w.bytes(), w.bit_size());
+    ASSERT_EQ(read_ops(r, ops, got), ops.size()) << "trial " << trial;
+    EXPECT_TRUE(r.exhausted());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      ASSERT_EQ(got[i], ops[i].expected()) << "trial " << trial << " op " << i;
+    }
+
+    // Every truncation point: both readers decode the same prefix of ops
+    // and stop with a WireError at the first op that crosses the cut.
+    for (std::uint64_t cut = 0; cut < w.bit_size(); ++cut) {
+      BitReader rc(w.bytes(), cut);
+      RefReader rr{w.bytes(), cut};
+      const std::size_t decoded = read_ops(rc, ops, got);
+      ASSERT_LT(decoded, ops.size()) << "trial " << trial << " cut " << cut;
+      ASSERT_EQ(decoded, read_ops(rr, ops, want)) << "trial " << trial << " cut " << cut;
+      ASSERT_EQ(got, want) << "trial " << trial << " cut " << cut;
+    }
+  }
+}
+
+TEST(BitStream, GammaExtremesMatchTheReference) {
+  for (const std::uint64_t value :
+       {std::uint64_t{0}, std::uint64_t{1}, (std::uint64_t{1} << 32) - 2,
+        (std::uint64_t{1} << 32) - 1, (std::uint64_t{1} << 63) - 1, ~std::uint64_t{0} - 1}) {
+    for (std::uint32_t offset = 0; offset < 8; ++offset) {
+      BitWriter w;
+      RefWriter ref;
+      w.put_bits(0x55, offset);
+      ref.put_bits(0x55, offset);
+      w.put_gamma(value);
+      ref.put_gamma(value);
+      ASSERT_EQ(w.bytes(), ref.bytes) << value << " at offset " << offset;
+      BitReader r(w.bytes(), w.bit_size());
+      (void)r.get_bits(offset);
+      EXPECT_EQ(r.get_gamma(), value);
+      EXPECT_TRUE(r.exhausted());
+    }
+  }
+}
+
+TEST(BitStream, WidthAbove64IsRejected) {
+  BitWriter w;
+  EXPECT_THROW(w.put_bits(0, 65), std::invalid_argument);
+  EXPECT_EQ(w.bit_size(), 0u);
+  const std::vector<std::uint8_t> bytes(16, 0xFF);
+  BitReader r(bytes, bytes.size() * 8);
+  EXPECT_THROW((void)r.get_bits(65), WireError);
+  EXPECT_EQ(r.get_bits(64), ~std::uint64_t{0});
+}
+
+TEST(BitStream, TakeBytesHandsOverTheBufferAndEmptiesTheWriter) {
+  BitWriter w;
+  w.put_bits(0xABC, 12);
+  const std::vector<std::uint8_t> copy = w.bytes();
+  EXPECT_EQ(w.take_bytes(), copy);
+  EXPECT_EQ(w.bit_size(), 0u);
+  EXPECT_TRUE(w.bytes().empty());
+  w.put_bits(0xF, 4);
+  EXPECT_EQ(w.bytes(), std::vector<std::uint8_t>{0xF0});
+}
+
+TEST(BitStream, SkipStepsOverBitsAndStopsAtTheEnd) {
+  BitWriter w;
+  w.put_bits(0x1FF, 9);
+  w.put_bits(0b101, 3);
+  BitReader r(w.bytes(), w.bit_size());
+  r.skip(9);
+  EXPECT_EQ(r.get_bits(3), 0b101u);
+  EXPECT_THROW(r.skip(1), WireError);
+}
 
 TEST(BitStream, BitRoundTrip) {
   BitWriter w;
