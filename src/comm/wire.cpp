@@ -36,7 +36,9 @@ void BitWriter::put_bits(std::uint64_t value, std::uint32_t width) {
 }
 
 void BitWriter::put_gamma(std::uint64_t value) {
-  const std::uint64_t v = value + 1;  // gamma codes positive integers
+  // Gamma codes positive integers, so value + 1 must not wrap to 0.
+  if (value == UINT64_MAX) throw std::invalid_argument("BitWriter::put_gamma: value 2^64 - 1");
+  const std::uint64_t v = value + 1;
   const auto width = static_cast<std::uint32_t>(bit_width_of(v));
   put_bits(0, width - 1);
   put_bits(v, width);

@@ -39,7 +39,9 @@ class BitWriter {
   /// Lowest `width` bits of `value`, MSB first; bits above `width` are
   /// ignored. Throws std::invalid_argument when width > 64.
   void put_bits(std::uint64_t value, std::uint32_t width);
-  /// Elias-gamma code for value >= 0 (stored as value + 1).
+  /// Elias-gamma code for value >= 0 (stored as value + 1). Throws
+  /// std::invalid_argument, writing nothing, for 2^64 - 1, whose value + 1
+  /// does not fit.
   void put_gamma(std::uint64_t value);
 
   [[nodiscard]] std::uint64_t bit_size() const noexcept { return bits_; }

@@ -61,19 +61,16 @@ struct RetryPolicy {
   std::chrono::microseconds max_timeout{1'000'000};
 
   /// Crash-fault handling (net/recovery.h): a peer *declared* down is not a
-  /// lossy link, so when true the sender stops retransmitting to it
-  /// immediately — no exponential-backoff budget is burned — and if the peer
-  /// has not resumed within `down_timeout` the session fails with a typed
-  /// NetError(kPlayerDown) after ONE bounded wait. When false, a dead peer
-  /// degrades to the legacy behavior: retries escalate until kTimeout.
-  bool fail_fast_on_down = true;
+  /// lossy link, so the sender stops retransmitting to it immediately — no
+  /// exponential-backoff budget is burned — and if the peer has not resumed
+  /// within `down_timeout` the session fails with a typed
+  /// NetError(kPlayerDown) after ONE bounded wait.
   std::chrono::microseconds down_timeout{200'000};
 
   [[nodiscard]] std::chrono::microseconds timeout_for(std::uint32_t attempt) const noexcept;
 };
 
 struct SenderStats {
-  std::uint64_t frames_sent = 0;       ///< distinct frames acknowledged
   std::uint64_t wire_bytes = 0;        ///< bytes written incl. retransmits/dups
   std::uint64_t retransmissions = 0;   ///< extra attempts beyond the first
   std::uint64_t duplicates_sent = 0;   ///< injected duplicate writes
@@ -86,7 +83,6 @@ struct ReceiverStats {
   std::uint64_t payload_bits = 0;  ///< sum of accepted frames' charged bits
   std::uint64_t duplicates = 0;    ///< retransmits discarded by seq dedup
   std::uint64_t corrupt = 0;       ///< CRC/codec/filler failures discarded
-  std::uint64_t bytes_read = 0;
   std::uint64_t player_down_frames = 0;  ///< out-of-band kPlayerDown notices seen
   std::uint64_t resume_frames = 0;       ///< out-of-band kResume notices seen
   std::vector<std::uint64_t> phase_bits;  ///< per-phase accepted bits
@@ -108,10 +104,10 @@ struct ArqPolicy {
     return p;
   }
 
-  /// The legacy discipline, byte-for-byte: one frame in flight, no
-  /// coalescing, enqueue blocks for the ack. The huge modulus means seq
-  /// never wraps, so frames carry the same gamma(seq) the legacy
-  /// ReliableSender wrote.
+  /// Stop-and-wait: one frame in flight, no coalescing, enqueue blocks for
+  /// the ack. The huge modulus means seq never wraps. Its wire is frozen:
+  /// NetArq.StopAndWait* pin its data and ack byte streams as inlined hex,
+  /// recorded from the one-thread-per-link engine this policy replaced.
   [[nodiscard]] static ArqPolicy stop_and_wait() noexcept {
     ArqPolicy p;
     p.window = 1;
@@ -137,7 +133,7 @@ struct ArqPolicy {
 /// in-order sequence accepted so far (next_expected - 1 mod M; M - 1 before
 /// anything arrived at next_expected == 0 — the sender's serial arithmetic
 /// reads that as "no news"), `sacks` the out-of-order frames buffered above
-/// it. A SACK-free ack is byte-identical to the legacy stop-and-wait ack.
+/// it. A SACK-free ack is a bare kAck header, the stop-and-wait ack.
 struct AckInfo {
   std::uint32_t cumulative = 0;
   std::vector<std::uint32_t> sacks;  ///< ascending seq_dist from cumulative+1

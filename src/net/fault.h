@@ -45,11 +45,11 @@
 /// `crash_resurrect` selects between the recovery path (the dead player
 /// respawns from its checkpoint and the charge log is replayed — the
 /// default) and a permanent death (the session must surface a typed
-/// NetError — kPlayerDown under RetryPolicy::fail_fast_on_down, kTimeout
-/// under the legacy backoff discipline). The decision function is
-/// `crash_offset` below; the session runtime (net/runtime.h) evaluates it
-/// between charges, so a crash never tears a frame in half — exactly the
-/// failure model of a process killed between syscalls.
+/// NetError(kPlayerDown) once RetryPolicy::down_timeout passes). The
+/// decision function is `crash_offset` below; the session runtime
+/// (net/runtime.h) evaluates it between charges, so a crash never tears a
+/// frame in half — exactly the failure model of a process killed between
+/// syscalls.
 
 namespace tft::net {
 

@@ -16,9 +16,9 @@
 ///      last checkpoint was written at the preceding phase barrier; the
 ///      charges it enqueued since then live in the per-link charge log.
 ///   2. The coordinator declares the death: a kPlayerDown frame travels the
-///      down link, and the ARQ engine stops retransmitting to the corpse
-///      (RetryPolicy::fail_fast_on_down). If nobody resumes within
-///      down_timeout, the session fails with NetError(kPlayerDown).
+///      down link, and the ARQ engine stops retransmitting to the corpse.
+///      If nobody resumes within RetryPolicy::down_timeout, the session
+///      fails with NetError(kPlayerDown).
 ///   3. The respawned player answers with kResume, whose payload is its
 ///      serialized PlayerCheckpoint (net/checkpoint.h). Both ends rewind
 ///      their lane halves to the barrier and the charge log is replayed.

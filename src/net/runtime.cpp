@@ -136,12 +136,18 @@ void NetSession::on_flush() {
   servicer_->session_flush(sid_);
 }
 
+void NetSession::relay(std::size_t from, std::size_t to, std::uint64_t bits) {
+  if (finished_) {
+    throw NetError(NetErrorKind::kClosed, "relay after the session finished");
+  }
+  servicer_->session_relay(sid_, from, to, bits);
+}
+
 WireStats NetSession::finish() {
   if (finished_) return result_;
   finished_ = true;
 
-  // Fold before rethrow so a failed run still reports what crossed the wire
-  // (matching the legacy engine's behavior).
+  // Fold before rethrow so a failed run still reports what crossed the wire.
   result_ = servicer_->close_session(sid_);
   servicer_->finish();
   servicer_->rethrow_error();

@@ -46,7 +46,7 @@ namespace tft::net {
 
 enum class TransportKind {
   kSim,     ///< legacy simulated mode: no frames, Transcript-only
-  kInProc,  ///< ByteRing SPSC queues + condvars
+  kInProc,  ///< ByteRing SPSC queues
   kSocket,  ///< TCP on 127.0.0.1
 };
 
@@ -142,6 +142,11 @@ class NetSession final : public ChannelSink {
   /// Called automatically whenever a charge's phase differs from the
   /// previous charge's, and by Channel::flush().
   void on_flush() override;
+
+  /// The Section 2 relay of one `bits`-bit message from player `from` to
+  /// player `to` (SharedServicer::session_relay). Relays are not
+  /// charge-logged, so crash recovery never replays them.
+  void relay(std::size_t from, std::size_t to, std::uint64_t bits);
 
   /// Drain the pipeline, stop the servicer, aggregate its tallies.
   /// Idempotent; a servicer-recorded failure rethrows as NetError.

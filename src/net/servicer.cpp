@@ -421,12 +421,11 @@ void SharedServicer::fail_session_locked(Shard& sh, const LinkState& link, NetEr
   sh.space_cv.notify_all();
 }
 
-void SharedServicer::session_barrier_locked(Shard& sh, std::unique_lock<std::mutex>& lock,
-                                            SessionState& ss) {
+void SharedServicer::drain_session_locked(Shard& sh, std::unique_lock<std::mutex>& lock,
+                                          SessionState& ss) {
   for (std::size_t i = ss.link_base; i < ss.link_base + 2 * ss.k; ++i) {
     seal_open_batch(*sh.links[i]);
   }
-  sh.work_cv.notify_one();
   ++sh.driving_waiting;
   while (!sh.error_kind && !ss.failed() && !session_drained_locked(sh, ss)) {
     sh.work_cv.notify_one();
@@ -434,6 +433,11 @@ void SharedServicer::session_barrier_locked(Shard& sh, std::unique_lock<std::mut
   }
   --sh.driving_waiting;
   if (hub_ != nullptr) hub_->publish_active(sh.index);
+}
+
+void SharedServicer::session_barrier_locked(Shard& sh, std::unique_lock<std::mutex>& lock,
+                                            SessionState& ss) {
+  drain_session_locked(sh, lock, ss);
   throw_if_error_locked(sh);
   throw_if_session_failed_locked(ss);
   if (ss.crash_tolerance) {
@@ -566,18 +570,7 @@ WireStats SharedServicer::close_session(std::size_t session) {
   if (ss.closed) return ss.result;
   // Best-effort drain: a healthy session flushes end to end so its fold is
   // complete; a failed one skips straight to folding what crossed the wire.
-  if (!ss.failed() && !sh.error_kind) {
-    for (std::size_t i = ss.link_base; i < ss.link_base + 2 * ss.k; ++i) {
-      seal_open_batch(*sh.links[i]);
-    }
-    ++sh.driving_waiting;
-    while (!sh.error_kind && !ss.failed() && !session_drained_locked(sh, ss)) {
-      sh.work_cv.notify_one();
-      sh.space_cv.wait_for(lock, std::chrono::seconds(1));
-    }
-    --sh.driving_waiting;
-    if (hub_ != nullptr) hub_->publish_active(sh.index);
-  }
+  if (!ss.failed() && !sh.error_kind) drain_session_locked(sh, lock, ss);
 
   WireStats w;
   w.up_bits.resize(ss.k);
@@ -695,9 +688,9 @@ void SharedServicer::restore_sender(LinkState& link, const LinkCheckpoint& ck) {
 void SharedServicer::restore_receiver(LinkState& link, const LinkCheckpoint& ck) {
   link.rcv.reset(ck.next_expected);
   // Roll the accounting tallies back to the barrier; the replay re-delivers
-  // (and re-tallies) everything since. Wire-level counters (bytes_read,
-  // duplicates, corrupt) stay monotonic — they describe the physical
-  // channel, not the recovered state.
+  // (and re-tallies) everything since. Wire-level counters (duplicates,
+  // corrupt) stay monotonic — they describe the physical channel, not the
+  // recovered state.
   link.rstats.frames = ck.frames;
   link.rstats.messages = ck.messages;
   link.rstats.payload_bits = ck.payload_bits;
@@ -878,17 +871,16 @@ void SharedServicer::handle_data_frame(Shard& sh, LinkState& link, Frame f) {
   // the fault plan (the virtual-clock determinism contract).
   Frame ack = make_ack_frame(link.dst, link.src, link.rcv.ack(), opts_.arq.seq_modulus);
   // Epoch stamp in the otherwise-unused phase field: 0 on every clean run
-  // (byte-identical to the legacy ack), the incarnation fence after a crash.
+  // (the bare stop-and-wait ack), the incarnation fence after a crash.
   ack.header.phase = link.epoch;
   serialize_frame_into(ack, link.wire_scratch);
   link.out_ack.insert(link.out_ack.end(), link.wire_scratch.begin(), link.wire_scratch.end());
 }
 
-bool SharedServicer::suppressed_sender(const LinkState& link) const noexcept {
-  // A dead sender emits nothing. A sender whose *peer* is declared dead
-  // stops only under fail-fast; the legacy discipline keeps retransmitting
-  // into the void until the backoff budget burns out as kTimeout.
-  return link.src_down || (link.dst_down && opts_.retry.fail_fast_on_down);
+bool SharedServicer::suppressed_sender(const LinkState& link) noexcept {
+  // A dead sender emits nothing, and a sender whose *peer* is declared dead
+  // stops at once instead of retransmitting into the void.
+  return link.src_down || link.dst_down;
 }
 
 bool SharedServicer::sweep(Shard& sh, std::uint64_t now) {
@@ -926,9 +918,8 @@ bool SharedServicer::sweep(Shard& sh, std::uint64_t now) {
     Frame f;
     if (!link.dst_down) {
       for (;;) {
-        const int n = link.link.data->read_some(sh.read_buf, Clock::now());
+        const int n = link.link.data->read_some(sh.read_buf);
         if (n <= 0) break;
-        link.rstats.bytes_read += static_cast<std::uint64_t>(n);
         link.data_parser.feed(
             std::span<const std::uint8_t>(sh.read_buf.data(), static_cast<std::size_t>(n)));
         progress = true;
@@ -948,7 +939,7 @@ bool SharedServicer::sweep(Shard& sh, std::uint64_t now) {
     }
     if (!link.src_down) {
       for (;;) {
-        const int n = link.link.ack->read_some(sh.read_buf, Clock::now());
+        const int n = link.link.ack->read_some(sh.read_buf);
         if (n <= 0) break;
         link.ack_parser.feed(
             std::span<const std::uint8_t>(sh.read_buf.data(), static_cast<std::size_t>(n)));
@@ -959,10 +950,9 @@ bool SharedServicer::sweep(Shard& sh, std::uint64_t now) {
         if (f.header.type != FrameType::kAck) continue;
         if (f.header.phase != link.epoch) continue;  // a dead incarnation's stale ack
         ++link.sstats.acks_received;
-        const std::size_t retired =
-            link.window.on_ack(decode_ack_frame(f, opts_.arq.seq_modulus));
-        link.sstats.frames_sent += retired;
-        if (retired > 0) sh.space_cv.notify_all();
+        if (link.window.on_ack(decode_ack_frame(f, opts_.arq.seq_modulus)) > 0) {
+          sh.space_cv.notify_all();
+        }
       }
     }
   }
@@ -993,11 +983,8 @@ bool SharedServicer::retransmit_due(Shard& sh, std::uint64_t now) {
 }
 
 void SharedServicer::check_down(Shard& sh, std::uint64_t now) {
-  // The fail-fast discipline only: a declared death that nobody resumed
-  // within down_timeout is a typed session failure. Under the legacy
-  // discipline the deadline is ignored and the dead link degrades to
-  // kTimeout through the ordinary backoff budget.
-  if (!opts_.retry.fail_fast_on_down) return;
+  // A declared death that nobody resumed within down_timeout is a typed
+  // session failure.
   for (const auto& lp : sh.links) {
     if (!lp) continue;
     LinkState& link = *lp;
@@ -1012,8 +999,8 @@ void SharedServicer::check_down(Shard& sh, std::uint64_t now) {
 
 bool SharedServicer::earliest_deadline(const Shard& sh, std::uint64_t& out) const noexcept {
   // The earliest *actionable* deadline: suppressed windows never act
-  // (jumping to them would spin), and down deadlines only qualify when
-  // check_down will actually throw at them.
+  // (jumping to them would spin); a down deadline is where check_down
+  // fails the session.
   std::uint64_t earliest = 0;
   bool found = false;
   const auto consider = [&](std::uint64_t d) {
@@ -1026,9 +1013,7 @@ bool SharedServicer::earliest_deadline(const Shard& sh, std::uint64_t& out) cons
       std::uint64_t d = 0;
       if (link->window.next_deadline(d)) consider(d);
     }
-    if (opts_.retry.fail_fast_on_down && link->down_deadline_us != 0) {
-      consider(link->down_deadline_us);
-    }
+    if (link->down_deadline_us != 0) consider(link->down_deadline_us);
   }
   out = earliest;
   return found;

@@ -25,11 +25,10 @@
 /// frames into each link's ARQ window, writing wire bytes (never blocking:
 /// partial writes park in per-link out-buffers), parsing arrivals,
 /// acknowledging, forwarding relayed messages, and retransmitting on
-/// timeout. It replaces the 2k LinkServicer threads of the stop-and-wait
-/// engine, and — since the session table landed — also the
-/// one-servicer-per-NetSession topology: many concurrent sessions multiplex
-/// over one servicer and one shared transport. The session is the only unit
-/// of work: every link belongs to exactly one session.
+/// timeout. It is the only ARQ engine: ArqPolicy::stop_and_wait() is a
+/// window-1 policy of it, not a second engine. Many concurrent sessions
+/// multiplex over one servicer and one shared transport. The session is
+/// the only unit of work: every link belongs to exactly one session.
 ///
 /// ## Shards
 ///
@@ -204,6 +203,9 @@ class SharedServicer {
   void check_down(Shard& sh, std::uint64_t now_us);
   void wait_for_space(Shard& sh, std::unique_lock<std::mutex>& lock, LinkState& link);
   SessionState& enter_session_locked(Shard& sh, std::size_t local, std::size_t player);
+  /// Seal the session's open batches and wait, counted as a blocked
+  /// driver, until its links drain or it or the shard fails.
+  void drain_session_locked(Shard& sh, std::unique_lock<std::mutex>& lock, SessionState& ss);
   void session_barrier_locked(Shard& sh, std::unique_lock<std::mutex>& lock, SessionState& ss);
   void refresh_session_checkpoints_locked(Shard& sh, SessionState& ss);
   void maybe_crash_locked(Shard& sh, SessionState& ss, std::size_t player, std::uint64_t phase);
@@ -234,7 +236,7 @@ class SharedServicer {
   void append_control_frame(LinkState& link, const Frame& f);
   void restore_sender(LinkState& link, const LinkCheckpoint& ck);
   void restore_receiver(LinkState& link, const LinkCheckpoint& ck);
-  [[nodiscard]] bool suppressed_sender(const LinkState& link) const noexcept;
+  [[nodiscard]] static bool suppressed_sender(const LinkState& link) noexcept;
   [[nodiscard]] bool all_drained(const Shard& sh) const noexcept;
   [[nodiscard]] bool anything_unacked(const Shard& sh) const noexcept;
   void record_error(Shard& sh, NetErrorKind kind, std::string what) noexcept;

@@ -16,8 +16,8 @@
 /// LoopbackSocketTransport: every link is a real TCP connection on
 /// 127.0.0.1 — frames cross the kernel's loopback stack, not just a mutex.
 /// Data flows client->server and acknowledgements server->client over the
-/// same connection; both file descriptors are non-blocking and all waits go
-/// through poll(2) so Pipe deadlines are honored exactly like ByteRing's.
+/// same connection; both file descriptors are non-blocking, so every Pipe
+/// call returns at once, like ByteRing's.
 
 namespace tft::net {
 
@@ -46,13 +46,6 @@ void set_buffer_sizes(int fd, int bytes) {
   (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
 }
 
-/// Remaining deadline in milliseconds for poll(2); 0 when already past.
-int remaining_ms(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now());
-  if (left.count() <= 0) return 0;
-  return static_cast<int>(std::min<std::int64_t>(left.count(), 60'000));
-}
-
 /// One TCP connection shared by a link's data and ack pipes.
 struct SocketDuplex {
   int client_fd = -1;  // connect() side: writes data, reads acks
@@ -78,35 +71,6 @@ class SocketPipe final : public Pipe {
   SocketPipe(std::shared_ptr<SocketDuplex> duplex, int write_fd, int read_fd)
       : duplex_(std::move(duplex)), write_fd_(write_fd), read_fd_(read_fd) {}
 
-  void write(std::span<const std::uint8_t> bytes, Clock::time_point deadline) override {
-    // Loop on short writes: with a shrunken SO_SNDBUF a frame routinely
-    // needs several send() calls, each one landing a partial chunk.
-    while (!bytes.empty()) {
-      if (duplex_->closed.load(std::memory_order_relaxed)) {
-        throw NetError(NetErrorKind::kClosed, "socket write: closed");
-      }
-      const ssize_t n =
-          ::send(write_fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-      if (n > 0) {
-        bytes = bytes.subspan(static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        pollfd p{write_fd_, POLLOUT, 0};
-        const int rc = ::poll(&p, 1, remaining_ms(deadline));
-        if (rc < 0 && errno != EINTR) {
-          throw NetError(NetErrorKind::kClosed, std::string("socket poll: ") + std::strerror(errno));
-        }
-        if (rc == 0 && Clock::now() >= deadline) {
-          throw NetError(NetErrorKind::kTimeout, "socket write: buffer full past deadline");
-        }
-        continue;  // writable, EINTR, or a deadline not actually reached
-      }
-      if (n < 0 && errno == EINTR) continue;
-      throw NetError(NetErrorKind::kClosed, std::string("socket write: ") + std::strerror(errno));
-    }
-  }
-
   std::size_t write_some(std::span<const std::uint8_t> bytes) override {
     for (;;) {
       if (duplex_->closed.load(std::memory_order_relaxed)) {
@@ -120,19 +84,14 @@ class SocketPipe final : public Pipe {
     }
   }
 
-  int read_some(std::span<std::uint8_t> buf, Clock::time_point deadline) override {
+  int read_some(std::span<std::uint8_t> buf) override {
     if (buf.empty()) return 0;
     for (;;) {
       const ssize_t n = ::recv(read_fd_, buf.data(), buf.size(), 0);
       if (n > 0) return static_cast<int>(n);
       if (n == 0) return -1;  // orderly shutdown, stream drained
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (duplex_->closed.load(std::memory_order_relaxed)) return -1;
-        pollfd p{read_fd_, POLLIN, 0};
-        const int rc = ::poll(&p, 1, remaining_ms(deadline));
-        if (rc < 0 && errno != EINTR) return -1;
-        if (rc == 0 && Clock::now() >= deadline) return 0;  // deadline tick
-        continue;  // readable, EINTR, or poll rounded the deadline down
+        return duplex_->closed.load(std::memory_order_relaxed) ? -1 : 0;
       }
       if (errno == EINTR) continue;
       return -1;  // reset by peer etc.: treat as closed

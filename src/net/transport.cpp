@@ -9,47 +9,6 @@ namespace tft::net {
 
 ByteRing::ByteRing(std::size_t capacity) : ring_(std::max<std::size_t>(capacity, 1)) {}
 
-void ByteRing::write(std::span<const std::uint8_t> bytes, Clock::time_point deadline) {
-  std::unique_lock lock(mu_);
-  while (!bytes.empty()) {
-    if (!writable_.wait_until(lock, deadline, [&] { return closed_ || size_ < ring_.size(); })) {
-      throw NetError(NetErrorKind::kTimeout, "pipe write: buffer full past deadline");
-    }
-    if (closed_) {
-      throw NetError(NetErrorKind::kClosed, "pipe write: closed");
-    }
-    const std::size_t tail = (head_ + size_) % ring_.size();
-    const std::size_t room = ring_.size() - size_;
-    const std::size_t contiguous = std::min(room, ring_.size() - tail);
-    const std::size_t take = std::min(bytes.size(), contiguous);
-    std::memcpy(ring_.data() + tail, bytes.data(), take);
-    size_ += take;
-    bytes = bytes.subspan(take);
-    readable_.notify_one();
-  }
-}
-
-int ByteRing::read_some(std::span<std::uint8_t> buf, Clock::time_point deadline) {
-  if (buf.empty()) return 0;
-  std::unique_lock lock(mu_);
-  // Poll fast path: an expired deadline must not reach the timed wait — a
-  // futex wait with a past abstime still costs near a timer tick, and the
-  // shared servicer polls every pipe once per sweep.
-  if (size_ == 0 && !closed_ && Clock::now() < deadline) {
-    readable_.wait_until(lock, deadline, [&] { return closed_ || size_ > 0; });
-  }
-  if (size_ == 0) {
-    return closed_ ? -1 : 0;  // drained-and-closed vs deadline tick
-  }
-  const std::size_t contiguous = std::min(size_, ring_.size() - head_);
-  const std::size_t take = std::min(buf.size(), contiguous);
-  std::memcpy(buf.data(), ring_.data() + head_, take);
-  head_ = (head_ + take) % ring_.size();
-  size_ -= take;
-  writable_.notify_one();
-  return static_cast<int>(take);
-}
-
 std::size_t ByteRing::write_some(std::span<const std::uint8_t> bytes) {
   const std::lock_guard lock(mu_);
   if (closed_) {
@@ -66,17 +25,26 @@ std::size_t ByteRing::write_some(std::span<const std::uint8_t> bytes) {
     written += take;
     bytes = bytes.subspan(take);
   }
-  if (written > 0) readable_.notify_one();
   return written;
 }
 
-void ByteRing::close() {
-  {
-    const std::lock_guard lock(mu_);
-    closed_ = true;
+int ByteRing::read_some(std::span<std::uint8_t> buf) {
+  if (buf.empty()) return 0;
+  const std::lock_guard lock(mu_);
+  if (size_ == 0) {
+    return closed_ ? -1 : 0;  // drained-and-closed vs nothing yet
   }
-  readable_.notify_all();
-  writable_.notify_all();
+  const std::size_t contiguous = std::min(size_, ring_.size() - head_);
+  const std::size_t take = std::min(buf.size(), contiguous);
+  std::memcpy(buf.data(), ring_.data() + head_, take);
+  head_ = (head_ + take) % ring_.size();
+  size_ -= take;
+  return static_cast<int>(take);
+}
+
+void ByteRing::close() {
+  const std::lock_guard lock(mu_);
+  closed_ = true;
 }
 
 Link InProcTransport::make_link() {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -13,44 +12,36 @@
 /// Byte-stream transports for the executed runtime.
 ///
 /// A `Pipe` is one direction of a link: an ordered, bounded byte stream
-/// with blocking writes (backpressure) and deadline-aware reads. A `Link`
-/// bundles the data direction with the reverse acknowledgement direction.
-/// `Transport` mints links; the two implementations —
-/// `InProcTransport` (lock-protected SPSC rings + condvars) and
+/// whose calls never block. A `Link` bundles the data direction with the
+/// reverse acknowledgement direction. `Transport` mints links; the two
+/// implementations — `InProcTransport` (lock-protected rings) and
 /// `LoopbackSocketTransport` (TCP on 127.0.0.1) — sit behind the same API,
-/// so the ARQ layer, the fault injector and the protocols above never know
-/// which wire they are on.
+/// so the servicer, the fault injector and the protocols above never know
+/// which wire they are on. The servicer's poller moves every link of its
+/// shard on one thread, so no pipe call may make it wait.
 
 namespace tft::net {
 
 using Clock = std::chrono::steady_clock;
 
-/// One direction of a link. Single producer, single consumer.
+/// One direction of a link. Single producer, single consumer; no call
+/// blocks.
 class Pipe {
  public:
   virtual ~Pipe() = default;
 
-  /// Write all of `bytes`, blocking while the receiving buffer is full.
-  /// Throws NetError(kClosed) if the pipe closes first, NetError(kTimeout)
-  /// if the deadline passes with the buffer still full.
-  virtual void write(std::span<const std::uint8_t> bytes, Clock::time_point deadline) = 0;
+  /// Write as many of `bytes` as fit right now; returns the count written
+  /// (0 when the buffer is full). Throws NetError(kClosed) on a closed
+  /// pipe.
+  virtual std::size_t write_some(std::span<const std::uint8_t> bytes) = 0;
 
-  /// Read up to `buf.size()` bytes. Returns the count read (> 0), 0 if the
-  /// deadline passed with nothing available, or -1 once the pipe is closed
-  /// *and* drained (buffered bytes are always delivered first).
-  virtual int read_some(std::span<std::uint8_t> buf, Clock::time_point deadline) = 0;
+  /// Read up to `buf.size()` bytes. Returns the count read (> 0), 0 when
+  /// nothing is buffered, or -1 once the pipe is closed *and* drained
+  /// (buffered bytes are always delivered first).
+  virtual int read_some(std::span<std::uint8_t> buf) = 0;
 
-  /// Write as many of `bytes` as fit *right now* without blocking; returns
-  /// the count written (possibly 0 when the buffer is full). Throws
-  /// NetError(kClosed) on a closed pipe. The shared servicer's only write
-  /// path: a single thread draining every link must never block on one.
-  virtual std::size_t write_some(std::span<const std::uint8_t> bytes) {
-    write(bytes, Clock::now() + std::chrono::seconds(5));
-    return bytes.size();
-  }
-
-  /// Close both ends: pending and future writers throw kClosed, readers
-  /// drain what is buffered and then see -1. Idempotent, thread-safe.
+  /// Close both ends: later writes throw kClosed, reads drain what is
+  /// buffered and then see -1. Idempotent, thread-safe.
   virtual void close() = 0;
 };
 
@@ -72,23 +63,20 @@ class Transport {
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 };
 
-/// Bounded SPSC byte ring: one mutex + two condvars per direction. The
-/// in-process wire — bytes are memcpy'd through a fixed circular buffer,
-/// so a frame really is serialized, chunked and reassembled even when both
-/// actors live in one process.
+/// Bounded SPSC byte ring under one mutex. The in-process wire — bytes are
+/// memcpy'd through a fixed circular buffer, so a frame really is
+/// serialized, chunked and reassembled even when both actors live in one
+/// process.
 class ByteRing final : public Pipe {
  public:
   explicit ByteRing(std::size_t capacity);
 
-  void write(std::span<const std::uint8_t> bytes, Clock::time_point deadline) override;
-  int read_some(std::span<std::uint8_t> buf, Clock::time_point deadline) override;
   std::size_t write_some(std::span<const std::uint8_t> bytes) override;
+  int read_some(std::span<std::uint8_t> buf) override;
   void close() override;
 
  private:
   std::mutex mu_;
-  std::condition_variable readable_;
-  std::condition_variable writable_;
   std::vector<std::uint8_t> ring_;
   std::size_t head_ = 0;  // next byte to read
   std::size_t size_ = 0;  // bytes buffered

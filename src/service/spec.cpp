@@ -64,6 +64,10 @@ std::optional<InstanceFamily> parse_family(const std::string& s) noexcept {
 }
 
 std::vector<std::uint8_t> encode_spec(const SessionSpec& spec) {
+  // The only 64-bit gamma field: its value + 1 must fit in 64 bits.
+  if (spec.param == UINT64_MAX) {
+    throw net::NetError(net::NetErrorKind::kSetup, "spec param 2^64 - 1 cannot be encoded");
+  }
   BitWriter w;
   w.put_gamma(spec.shard_affinity == 0 ? kSpecVersion : kSpecVersionShard);
   w.put_gamma(static_cast<std::uint64_t>(spec.protocol));

@@ -76,7 +76,9 @@ struct SessionSpec {
   bool operator==(const SessionSpec&) const = default;
 };
 
-/// Canonical byte encoding (versioned gamma codec).
+/// Canonical byte encoding (versioned gamma codec). Throws
+/// net::NetError(kSetup) on a field the codec cannot carry (param =
+/// 2^64 - 1).
 [[nodiscard]] std::vector<std::uint8_t> encode_spec(const SessionSpec& spec);
 /// Throws net::NetError(kCorrupt) on malformed bytes.
 [[nodiscard]] SessionSpec decode_spec(std::span<const std::uint8_t> bytes);

@@ -7,11 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -20,6 +16,7 @@
 #include "net/runtime.h"
 #include "net/servicer.h"
 #include "net/transport.h"
+#include "reseal_pipe.h"
 #include "util/bits.h"
 
 namespace tft::net {
@@ -170,70 +167,18 @@ TEST(NetMultiSession, RelayForwardsWithinItsOwnSession) {
   EXPECT_EQ(other_w.payload_bits(), expected_payload_bits(2));
 }
 
-/// A data pipe that re-seals the first kRelay frame it carries with its last
-/// message bit flipped. The frame's CRC is valid, so only the receiver's
-/// filler check can tell it from an intact relay.
-class RelayTamperPipe final : public Pipe {
- public:
-  RelayTamperPipe(std::unique_ptr<Pipe> inner, std::atomic<bool>& tampered)
-      : inner_(std::move(inner)), tampered_(tampered) {}
-
-  void write(std::span<const std::uint8_t> bytes, Clock::time_point deadline) override {
-    pending_.insert(pending_.end(), bytes.begin(), bytes.end());
-    // Forward each complete frame; its length prefix says where it ends.
-    while (pending_.size() >= 4) {
-      const std::size_t body = pending_[0] | (pending_[1] << 8) | (pending_[2] << 16) |
-                               (static_cast<std::size_t>(pending_[3]) << 24);
-      if (pending_.size() < body + 8) break;
-      std::vector<std::uint8_t> wire(pending_.begin(),
-                                     pending_.begin() + static_cast<std::ptrdiff_t>(body + 8));
-      pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(body + 8));
-      FrameParser parser;
-      parser.feed(wire);
-      Frame f;
-      if (parser.next(f) && f.header.type == FrameType::kRelay && !tampered_.exchange(true)) {
-        const std::uint64_t bit = f.header.payload_bits - 1;
-        f.payload[bit / 8] ^= static_cast<std::uint8_t>(0x80U >> (bit % 8));
-        wire = serialize_frame(f);
-      }
-      inner_->write(wire, deadline);
-    }
-  }
-  std::size_t write_some(std::span<const std::uint8_t> bytes) override {
-    write(bytes, Clock::now() + std::chrono::seconds(5));
-    return bytes.size();
-  }
-  int read_some(std::span<std::uint8_t> buf, Clock::time_point deadline) override {
-    return inner_->read_some(buf, deadline);
-  }
-  void close() override { inner_->close(); }
-
- private:
-  std::unique_ptr<Pipe> inner_;
-  std::atomic<bool>& tampered_;
-  std::vector<std::uint8_t> pending_;
-};
-
-class RelayTamperTransport final : public Transport {
- public:
-  Link make_link() override {
-    Link link = inner_.make_link();
-    link.data = std::make_unique<RelayTamperPipe>(std::move(link.data), tampered_);
-    return link;
-  }
-  [[nodiscard]] const char* name() const noexcept override { return "relay-tamper"; }
-  [[nodiscard]] bool tampered() const noexcept { return tampered_.load(); }
-
- private:
-  InProcTransport inner_;
-  std::atomic<bool> tampered_{false};
-};
-
 TEST(NetMultiSession, RelayWithWrongMessageBitsIsCountedCorruptAndResent) {
   // The servicer checks a relay's message bits against their filler before
   // the frame enters the window: the tampered copy is discarded as corrupt,
   // never forwarded, and the retransmission delivers the exact relay.
-  RelayTamperTransport transport;
+  // The first relay frame crosses the wire with its last message bit
+  // flipped.
+  ResealTransport transport([](Frame& f) {
+    if (f.header.type != FrameType::kRelay) return false;
+    const std::uint64_t bit = f.header.payload_bits - 1;
+    f.payload[bit / 8] ^= static_cast<std::uint8_t>(0x80U >> (bit % 8));
+    return true;
+  });
   SharedServicer servicer(vclock_options());
   servicer.start();
   SharedServicer::SessionOptions so;
@@ -246,7 +191,7 @@ TEST(NetMultiSession, RelayWithWrongMessageBitsIsCountedCorruptAndResent) {
   servicer.rethrow_error();
   servicer.rethrow_session_error(session);
 
-  ASSERT_TRUE(transport.tampered());
+  ASSERT_TRUE(transport.resealed());
   const std::uint64_t id = vertex_bits(3);
   EXPECT_EQ(w.corrupt_frames, 1u);
   EXPECT_EQ(w.up_bits, (std::vector<std::uint64_t>{16 + id, 0, 0}));

@@ -246,17 +246,17 @@ TEST(NetRecovery, RecoveryReplaysTheChargeLogAndAnnouncesItself) {
       << "a mid-window crash must replay the since-barrier log";
 }
 
-/// The satellite distinction: a *declared* death without resurrection fails
-/// fast with the typed kPlayerDown, while the legacy discipline (fail-fast
-/// off) burns the retransmission budget and surfaces plain kTimeout.
-/// Both runs are fully deterministic under the virtual clock.
-TEST(NetRecovery, FailFastPlayerDownVersusLegacyTimeout) {
+/// A *declared* death without resurrection fails fast with the typed
+/// kPlayerDown: the sender stops retransmitting to the corpse instead of
+/// burning its retry budget into a plain kTimeout. Deterministic under the
+/// virtual clock.
+TEST(NetRecovery, UnresumedDeathFailsFastAsPlayerDown) {
   chaos::Scenario s;
   const auto players = chaos::instance(s);
 
   // Find a crash point whose triggering charge is DOWNSTREAM: the frame to
-  // the fresh corpse is in flight immediately, so the legacy path has
-  // something to retransmit into the void.
+  // the fresh corpse is in flight immediately, so there is something to
+  // retransmit into the void.
   struct DirProbe final : ChannelSink {
     std::vector<std::vector<std::vector<Direction>>> dirs;
     explicit DirProbe(std::size_t k) : dirs(k) {}
@@ -285,24 +285,20 @@ TEST(NetRecovery, FailFastPlayerDownVersusLegacyTimeout) {
   }
   ASSERT_TRUE(point.has_value()) << "the coordinator never speaks downstream?";
 
-  const auto run_kind = [&](bool fail_fast) {
-    NetConfig cfg = chaos::make_config(s);
-    cfg.faults.crash_schedule = {*point};
-    cfg.faults.crash_resurrect = false;  // the dead stay dead
-    cfg.retry.base_timeout = std::chrono::milliseconds(5);
-    cfg.retry.max_timeout = std::chrono::milliseconds(100);
-    cfg.retry.max_retries = 12;
-    cfg.retry.fail_fast_on_down = fail_fast;
-    try {
-      (void)run_executed(s.k, cfg, [&] { return chaos::run_body(s, players); });
-    } catch (const NetError& e) {
-      return e.kind();
-    }
-    ADD_FAILURE() << "an unresumed death must surface a typed NetError";
-    return NetErrorKind::kSetup;
-  };
-  EXPECT_EQ(run_kind(true), NetErrorKind::kPlayerDown);
-  EXPECT_EQ(run_kind(false), NetErrorKind::kTimeout);
+  NetConfig cfg = chaos::make_config(s);
+  cfg.faults.crash_schedule = {*point};
+  cfg.faults.crash_resurrect = false;  // the dead stay dead
+  // A retry budget (5 + 10 + 20 ms) that runs out well before down_timeout
+  // (200 ms): a sender that kept retransmitting to the corpse would surface
+  // kTimeout first.
+  cfg.retry.base_timeout = std::chrono::milliseconds(5);
+  cfg.retry.max_retries = 2;
+  try {
+    (void)run_executed(s.k, cfg, [&] { return chaos::run_body(s, players); });
+    FAIL() << "an unresumed death must surface a typed NetError";
+  } catch (const NetError& e) {
+    EXPECT_EQ(e.kind(), NetErrorKind::kPlayerDown);
+  }
 }
 
 /// A crashed-and-recovered run is a pure function of its configuration under

@@ -89,6 +89,21 @@ TEST(ServiceSpec, DecodeRejectsCorruptBytesTyped) {
   expect_corrupt(bad_version);
 }
 
+TEST(ServiceSpec, ParamWithoutAGammaCodeIsASetupError) {
+  // param = 2^64 - 1 has no gamma code: encoding refuses it up front rather
+  // than emitting bytes that decode_spec calls corrupt.
+  SessionSpec spec;
+  spec.param = ~std::uint64_t{0};
+  try {
+    (void)encode_spec(spec);
+    FAIL() << "an unencodable spec must throw";
+  } catch (const NetError& e) {
+    EXPECT_EQ(e.kind(), NetErrorKind::kSetup);
+  }
+  spec.param = ~std::uint64_t{0} - 1;
+  EXPECT_EQ(decode_spec(encode_spec(spec)), spec);
+}
+
 TEST(ServiceReplyCodec, RoundTripsVerdictAndAccounting) {
   ServiceReply reply;
   reply.status = ReplyStatus::kTriangle;

@@ -173,6 +173,20 @@ TEST(BitStream, GammaExtremesMatchTheReference) {
   }
 }
 
+/// 2^64 - 1 is the one value whose gamma code (of value + 1) does not fit
+/// 64 bits: the writer refuses it before writing a bit.
+TEST(BitStream, GammaOfTheLargestValueIsRejected) {
+  BitWriter w;
+  w.put_bits(0x5, 3);
+  EXPECT_THROW(w.put_gamma(~std::uint64_t{0}), std::invalid_argument);
+  EXPECT_EQ(w.bit_size(), 3u) << "a refused value writes nothing";
+  w.put_gamma(~std::uint64_t{0} - 1);  // the largest encodable value
+  BitReader r(w.bytes(), w.bit_size());
+  EXPECT_EQ(r.get_bits(3), 0x5u);
+  EXPECT_EQ(r.get_gamma(), ~std::uint64_t{0} - 1);
+  EXPECT_TRUE(r.exhausted());
+}
+
 TEST(BitStream, WidthAbove64IsRejected) {
   BitWriter w;
   EXPECT_THROW(w.put_bits(0, 65), std::invalid_argument);
