@@ -229,7 +229,10 @@ int main(int argc, char** argv) {
   // replay). Under the virtual clock every field is a pure function of the
   // schedule, so both rows live in the committed baseline; the wire-byte
   // delta IS the cost of dying once — control frames plus the replayed
-  // span the receiver dedups.
+  // span the receiver dedups. The row runs on the windowed policy whatever
+  // --arq says, as the A/B row pins its two: stop-and-wait does not coalesce,
+  // so its wire bytes differ by design. Stop-and-wait recovery is covered by
+  // the crash-coin chaos matrix and NetChaos.*.
   std::printf("\n-- crash-recovery overhead (k=4, 4 phases x %zu charges, vclock) --\n",
               count);
   {
@@ -257,7 +260,7 @@ int main(int argc, char** argv) {
     NetConfig clean;
     clean.transport = TransportKind::kInProc;
     clean.virtual_clock = true;
-    clean.arq = grid_arq;
+    clean.arq = ArqPolicy::windowed(window);
     NetConfig crashed = clean;
     // Kill player 0 mid-phase 2, half its share of the phase already in the
     // pipeline (count/k charges per player per phase by construction).

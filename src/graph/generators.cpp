@@ -28,33 +28,45 @@ std::span<Vertex> arena_iota(Arena& arena, std::size_t count, Vertex first) {
 
 }  // namespace
 
-Graph gnp(Vertex n, double p, Rng& rng) {
-  // Edge staging goes through the thread arena: the doubling growth of the
-  // unpredictable-size edge list reuses warm blocks across calls, and the
-  // vector handed to Graph is allocated once at its exact final size.
-  ArenaScope scope;
-  ArenaBuf<Edge> edges(scope.arena());
+std::span<const Edge> gnp_edges(Vertex n, double p, Rng& rng, Arena& arena) {
+  // The list grows by doubling inside the arena, whose blocks stay warm
+  // across calls: no heap buffer, no copy, no page faults once warm.
+  ArenaBuf<Edge> edges(arena);
   // pair_count keeps the n*(n-1)/2 arithmetic in 64 bits: past n = 2^16 the
   // pair space no longer fits 32 bits, past n ~ 92682 it exceeds 2^32.
-  const std::uint64_t total = pair_count(n);
-  skip_sample(total, p, rng, [&](std::uint64_t idx) {
-    const auto [u, v] = unrank_pair(idx, n);
+  PairCursor pair(n);
+  skip_sample(pair_count(n), p, rng, [&](std::uint64_t idx) {
+    const auto [u, v] = pair(idx);
     edges.emplace_back(u, v);
   });
-  return Graph(n, edges.take());
+  return {edges.data(), edges.size()};
+}
+
+Graph gnp(Vertex n, double p, Rng& rng) {
+  ArenaScope scope;
+  const std::span<const Edge> edges = gnp_edges(n, p, rng, scope.arena());
+  return Graph(n, {edges.begin(), edges.end()});
+}
+
+std::span<const Edge> bipartite_gnp_edges(Vertex n, double p, Rng& rng, Arena& arena) {
+  const Vertex a = n / 2;
+  const Vertex b = n - a;
+  ArenaBuf<Edge> edges(arena);
+  // Row u holds the indices [u * b, (u + 1) * b); the indices increase, so
+  // the row only ever steps forward.
+  Vertex u = 0;
+  std::uint64_t row_start = 0;
+  skip_sample(static_cast<std::uint64_t>(a) * b, p, rng, [&](std::uint64_t idx) {
+    for (; idx - row_start >= b; row_start += b) ++u;
+    edges.emplace_back(u, static_cast<Vertex>(a + (idx - row_start)));
+  });
+  return {edges.data(), edges.size()};
 }
 
 Graph bipartite_gnp(Vertex n, double p, Rng& rng) {
-  const Vertex a = n / 2;
-  const Vertex b = n - a;
   ArenaScope scope;
-  ArenaBuf<Edge> edges(scope.arena());
-  skip_sample(static_cast<std::uint64_t>(a) * b, p, rng, [&](std::uint64_t idx) {
-    const auto u = static_cast<Vertex>(idx / b);
-    const auto v = static_cast<Vertex>(a + idx % b);
-    edges.emplace_back(u, v);
-  });
-  return Graph(n, edges.take());
+  const std::span<const Edge> edges = bipartite_gnp_edges(n, p, rng, scope.arena());
+  return Graph(n, {edges.begin(), edges.end()});
 }
 
 Graph complete_bipartite(Vertex a, Vertex b) {

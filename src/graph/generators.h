@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 /// \file generators.h
@@ -28,9 +30,20 @@ namespace tft::gen {
 /// Erdos-Renyi G(n, p).
 [[nodiscard]] Graph gnp(Vertex n, double p, Rng& rng);
 
+/// gnp's edge list as the generator emits it, staged in `arena`: sorted,
+/// unique, no self-loops, so it can be dealt to players (partition_edges)
+/// without a whole-graph CSR. The span lives until the arena is rewound past
+/// it, i.e. until the caller's ArenaScope ends. gnp(n, p, rng) is the Graph
+/// over this list.
+[[nodiscard]] std::span<const Edge> gnp_edges(Vertex n, double p, Rng& rng, Arena& arena);
+
 /// G(n, p) conditioned on being triangle-free is expensive; instead,
 /// bipartite G(n/2, n/2, p) which is triangle-free by construction.
 [[nodiscard]] Graph bipartite_gnp(Vertex n, double p, Rng& rng);
+
+/// bipartite_gnp's edge list, staged in `arena` as gnp_edges' is.
+[[nodiscard]] std::span<const Edge> bipartite_gnp_edges(Vertex n, double p, Rng& rng,
+                                                        Arena& arena);
 
 [[nodiscard]] Graph complete_bipartite(Vertex a, Vertex b);
 

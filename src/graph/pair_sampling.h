@@ -13,6 +13,8 @@
 /// sequential generators (graph/generators.cpp) and the chunked,
 /// communication-free generator family (graph/chunked.h): linear ranking of
 /// vertex pairs and geometric skip-sampling over an arbitrary index range.
+/// The chunked family unranks by random access (unrank_pair); the
+/// sequential generators read their increasing stream with a PairCursor.
 ///
 /// The legacy generators draw one geometric gap per kept index from a single
 /// sequential Rng stream; the chunked family draws the same gaps from
@@ -47,6 +49,33 @@ namespace tft {
   assert(c < n);
   return {static_cast<Vertex>(r), static_cast<Vertex>(c)};
 }
+
+/// unrank_pair for a stream of indices that never decreases, as skip
+/// sampling emits them: the cursor keeps its row's index range and steps
+/// to later rows as the indices pass them, with no square root. O(n + number
+/// of indices) over a whole stream; all of it in 64 bits, so pair counts
+/// past 2^32 unrank exactly.
+class PairCursor {
+ public:
+  explicit PairCursor(std::uint64_t n) noexcept : n_(n), row_end_(n > 0 ? n - 1 : 0) {}
+
+  /// The pair of rank idx; idx must not be below the previous call's.
+  [[nodiscard]] std::pair<Vertex, Vertex> operator()(std::uint64_t idx) noexcept {
+    assert(idx >= row_start_ && idx < pair_count(n_));
+    while (idx >= row_end_) {
+      ++row_;
+      row_start_ = row_end_;
+      row_end_ += n_ - 1 - row_;
+    }
+    return {static_cast<Vertex>(row_), static_cast<Vertex>(row_ + 1 + (idx - row_start_))};
+  }
+
+ private:
+  std::uint64_t n_;
+  std::uint64_t row_ = 0;
+  std::uint64_t row_start_ = 0;  ///< rank of (row, row + 1)
+  std::uint64_t row_end_;        ///< one past the rank of (row, n - 1)
+};
 
 /// Invoke fn(i) for each index i in [lo, hi) kept independently with
 /// probability p, via geometric skip sampling — O(expected kept) time and

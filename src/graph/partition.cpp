@@ -1,27 +1,52 @@
 #include "graph/partition.h"
 
 #include <algorithm>
+#include <cassert>
 #include <iterator>
 #include <stdexcept>
 #include <unordered_set>
 
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace tft {
 
-std::vector<PlayerInput> partition_edges(const Graph& g, std::size_t k,
+namespace {
+
+/// Marks the last of an edge's copies in partition_edges' deal list; the
+/// low 31 bits hold the player.
+constexpr std::uint32_t kLastCopy = std::uint32_t{1} << 31;
+
+}  // namespace
+
+std::vector<PlayerInput> partition_edges(Vertex n, std::span<const Edge> edges, std::size_t k,
                                          const PartitionOptions& opts, Rng& rng) {
   if (k == 0) throw std::invalid_argument("partition_edges: k must be >= 1");
+  if (k > kLastCopy) throw std::invalid_argument("partition_edges: k must be <= 2^31");
   if (opts.dup_factor < 1.0) throw std::invalid_argument("partition_edges: dup_factor < 1");
   if (opts.heavy_fraction < 0.0 || opts.heavy_fraction >= 1.0) {
     throw std::invalid_argument("partition_edges: heavy_fraction out of range");
   }
+  assert(std::adjacent_find(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+           return !(a < b);
+         }) == edges.end());
+  assert(std::none_of(edges.begin(), edges.end(), [](const Edge& e) { return e.u == e.v; }));
 
-  std::vector<std::vector<Edge>> per_player(k);
   const double extra_p =
       (k > 1) ? (opts.dup_factor - 1.0) / static_cast<double>(k - 1) : 0.0;
 
-  for (const Edge& e : g.edges()) {
+  // Pass 1 makes every draw, in the order the partition has always made
+  // them (an edge's owner, then its extra copies), and notes which player
+  // each copy goes to; an edge's last copy carries kLastCopy. Pass 2 deals
+  // the edges into lists allocated once at their final sizes.
+  ArenaScope scope;
+  ArenaBuf<std::uint32_t> copies(scope.arena(), edges.size());
+  std::vector<std::size_t> count(k, 0);
+  const auto copy_to = [&](std::size_t j) {
+    copies.push_back(static_cast<std::uint32_t>(j));
+    ++count[j];
+  };
+  for (const Edge& e : edges) {
     std::size_t owner;
     if (opts.heavy_fraction > 0.0 && rng.bernoulli(opts.heavy_fraction)) {
       owner = 0;
@@ -30,20 +55,34 @@ std::vector<PlayerInput> partition_edges(const Graph& g, std::size_t k,
     } else {
       owner = static_cast<std::size_t>(rng.below(k));
     }
-    per_player[owner].push_back(e);
+    copy_to(owner);
     if (extra_p > 0.0) {
       for (std::size_t j = 0; j < k; ++j) {
-        if (j != owner && rng.bernoulli(extra_p)) per_player[j].push_back(e);
+        if (j != owner && rng.bernoulli(extra_p)) copy_to(j);
       }
     }
+    copies[copies.size() - 1] |= kLastCopy;
+  }
+
+  std::vector<std::vector<Edge>> per_player(k);
+  for (std::size_t j = 0; j < k; ++j) per_player[j].reserve(count[j]);
+  std::size_t i = 0;
+  for (const std::uint32_t c : copies) {
+    per_player[c & ~kLastCopy].push_back(edges[i]);
+    i += c >> 31;
   }
 
   std::vector<PlayerInput> players;
   players.reserve(k);
   for (std::size_t j = 0; j < k; ++j) {
-    players.push_back(PlayerInput{j, k, Graph(g.n(), std::move(per_player[j]))});
+    players.push_back(PlayerInput{j, k, Graph(n, std::move(per_player[j]))});
   }
   return players;
+}
+
+std::vector<PlayerInput> partition_edges(const Graph& g, std::size_t k,
+                                         const PartitionOptions& opts, Rng& rng) {
+  return partition_edges(g.n(), g.edges(), k, opts, rng);
 }
 
 std::vector<PlayerInput> partition_random(const Graph& g, std::size_t k, Rng& rng) {

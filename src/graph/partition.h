@@ -45,7 +45,16 @@ struct PartitionOptions {
   double heavy_fraction = 0.0;
 };
 
-/// Split g's edges among k players.
+/// Split an edge list over vertices [0, n) among k players (1 <= k <= 2^31).
+/// `edges` must be sorted, unique and free of self-loops, as Graph::edges()
+/// and the *_edges generators are; each player's list is then sorted too.
+/// Each edge makes its draws from rng in list order, so a generator's list
+/// and the Graph built from it deal the same players.
+[[nodiscard]] std::vector<PlayerInput> partition_edges(Vertex n, std::span<const Edge> edges,
+                                                       std::size_t k, const PartitionOptions& opts,
+                                                       Rng& rng);
+
+/// Split g's edges among k players: partition_edges(g.n(), g.edges(), ...).
 [[nodiscard]] std::vector<PlayerInput> partition_edges(const Graph& g, std::size_t k,
                                                        const PartitionOptions& opts, Rng& rng);
 

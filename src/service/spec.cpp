@@ -1,10 +1,12 @@
 #include "service/spec.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "comm/wire.h"
 #include "graph/generators.h"
 #include "net/error.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace tft::service {
@@ -129,35 +131,37 @@ SessionSpec decode_spec(std::span<const std::uint8_t> bytes) {
 std::vector<PlayerInput> build_players(const SessionSpec& spec) {
   Rng rng(spec.seed);
   const auto n = static_cast<Vertex>(spec.n);
-  Graph g;
+  // gnp and bipartite deal their generators' sorted lists straight to the
+  // players. planted, hub and mu emit raw lists that are unsorted and can
+  // repeat edges, so Graph, the one normalizer, builds them first.
   switch (spec.family) {
     case InstanceFamily::kPlanted: {
       const auto t = static_cast<std::uint32_t>(spec.param != 0 ? spec.param : spec.n / 12);
-      g = gen::planted_triangles(n, t, rng);
-      break;
+      return partition_random(gen::planted_triangles(n, t, rng), spec.k, rng);
     }
     case InstanceFamily::kHub: {
       const auto hubs = static_cast<std::uint32_t>(spec.param != 0 ? spec.param : 3);
-      g = gen::hub_matching(n, hubs, rng);
-      break;
+      return partition_random(gen::hub_matching(n, hubs, rng), spec.k, rng);
     }
     case InstanceFamily::kGnp: {
       const double d = spec.param != 0 ? static_cast<double>(spec.param) / 100.0 : 16.0;
-      g = gen::gnp(n, d / static_cast<double>(spec.n), rng);
-      break;
+      ArenaScope scope;
+      const auto edges = gen::gnp_edges(n, d / static_cast<double>(spec.n), rng, scope.arena());
+      return partition_edges(n, edges, spec.k, PartitionOptions{}, rng);
     }
     case InstanceFamily::kMu: {
       const double gamma = spec.param != 0 ? static_cast<double>(spec.param) / 100.0 : 0.9;
-      g = gen::tripartite_mu(n / 3, gamma, rng);
-      break;
+      return partition_random(gen::tripartite_mu(n / 3, gamma, rng), spec.k, rng);
     }
     case InstanceFamily::kBipartite: {
       const double d = spec.param != 0 ? static_cast<double>(spec.param) / 100.0 : 8.0;
-      g = gen::bipartite_gnp(n, 2.0 * d / static_cast<double>(spec.n), rng);
-      break;
+      ArenaScope scope;
+      const auto edges =
+          gen::bipartite_gnp_edges(n, 2.0 * d / static_cast<double>(spec.n), rng, scope.arena());
+      return partition_edges(n, edges, spec.k, PartitionOptions{}, rng);
     }
   }
-  return partition_random(g, spec.k, rng);
+  throw std::invalid_argument("build_players: instance family outside the enum");
 }
 
 TesterOptions tester_options(const SessionSpec& spec) {

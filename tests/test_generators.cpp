@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/pair_sampling.h"
 #include "graph/triangles.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace tft::gen {
@@ -21,19 +24,28 @@ TEST(Gnp, EdgeCountConcentrates) {
 
 TEST(Gnp, ExtremeProbabilities) {
   Rng rng(1);
-  EXPECT_EQ(gnp(50, 0.0, rng).num_edges(), 0u);
-  EXPECT_EQ(gnp(50, 1.0, rng).num_edges(), 50u * 49 / 2);
+  for (const Vertex n : {0u, 1u, 2u, 50u}) {
+    EXPECT_EQ(gnp(n, 0.0, rng).num_edges(), 0u) << "n=" << n;
+    const Graph full = gnp(n, 1.0, rng);
+    EXPECT_EQ(full.n(), n);
+    EXPECT_EQ(full.num_edges(), pair_count(n)) << "n=" << n;
+  }
 }
 
 TEST(Gnp, EdgesCoverAllPairsUniformly) {
   // Every unranked pair index must be a valid (u < v) pair; spot-check the
-  // pair-unranking by generating a dense sample and verifying bounds.
+  // pair-unranking by generating a dense sample and verifying bounds. The
+  // generator's own list is already what Graph would make of it: sorted and
+  // unique, so partitions may deal it without a Graph.
   Rng rng(9);
+  Rng same(9);
   const Graph g = gnp(100, 0.5, rng);
   for (const Edge& e : g.edges()) {
     ASSERT_LT(e.u, e.v);
     ASSERT_LT(e.v, 100u);
   }
+  ArenaScope scope;
+  EXPECT_TRUE(std::ranges::equal(gnp_edges(100, 0.5, same, scope.arena()), g.edges()));
 }
 
 TEST(BipartiteGnp, TriangleFree) {
@@ -164,11 +176,24 @@ TEST(Overlay, UnionsEdgeSets) {
 
 TEST(BipartiteGnp, ExtremeProbabilities) {
   Rng rng(1);
-  EXPECT_EQ(bipartite_gnp(60, 0.0, rng).num_edges(), 0u);
-  // p = 1 gives the complete bipartite graph K_{30,30}.
-  const Graph full = bipartite_gnp(60, 1.0, rng);
-  EXPECT_EQ(full.num_edges(), 30u * 30u);
-  EXPECT_TRUE(is_triangle_free(full));
+  for (const Vertex n : {0u, 1u, 2u, 60u, 61u}) {
+    EXPECT_EQ(bipartite_gnp(n, 0.0, rng).num_edges(), 0u) << "n=" << n;
+    // p = 1 gives the complete bipartite graph K_{n/2, n - n/2}, and its
+    // list comes out sorted and unique.
+    Rng same = rng;
+    const Graph full = bipartite_gnp(n, 1.0, rng);
+    EXPECT_EQ(full.n(), n);
+    EXPECT_EQ(full.num_edges(), std::size_t{n / 2} * (n - n / 2)) << "n=" << n;
+    EXPECT_TRUE(is_triangle_free(full));
+    ArenaScope scope;
+    EXPECT_TRUE(
+        std::ranges::equal(bipartite_gnp_edges(n, 1.0, same, scope.arena()), full.edges()));
+  }
+  Rng a(2);
+  Rng b(2);
+  ArenaScope scope;
+  EXPECT_TRUE(std::ranges::equal(bipartite_gnp_edges(301, 0.1, a, scope.arena()),
+                                 bipartite_gnp(301, 0.1, b).edges()));
 }
 
 TEST(TripartiteMu, TinySides) {
@@ -233,6 +258,26 @@ TEST(PairSampling, UnrankAtBoundaries) {
       ASSERT_LT(static_cast<std::uint64_t>(c), n);
       const std::uint64_t rr = r;
       EXPECT_EQ(rr * n - rr * (rr + 1) / 2 + (c - rr - 1), idx);
+    }
+    // The row cursor agrees with unrank_pair over an increasing stream: a
+    // skip-sampled one (at small n every index, so runs of consecutive
+    // indices through every row boundary), plus the last index of the row
+    // before and the first of a few rows, and the very last index.
+    std::vector<std::uint64_t> stream;
+    Rng rng(n);
+    const double p = n <= 363 ? 1.0 : 20000.0 / static_cast<double>(total);
+    skip_sample(total, p, rng, [&](std::uint64_t i) { stream.push_back(i); });
+    for (const std::uint64_t r : {std::uint64_t{1}, n / 2, n - 2}) {
+      if (r == 0 || r > n - 2) continue;
+      const std::uint64_t row_start = r * n - r * (r + 1) / 2;
+      stream.insert(stream.end(), {row_start - 1, row_start});
+    }
+    stream.push_back(total - 1);
+    std::sort(stream.begin(), stream.end());
+    stream.erase(std::unique(stream.begin(), stream.end()), stream.end());
+    PairCursor cursor(n);
+    for (const std::uint64_t idx : stream) {
+      ASSERT_EQ(cursor(idx), unrank_pair(idx, n)) << "n=" << n << " idx=" << idx;
     }
   }
 }

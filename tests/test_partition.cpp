@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
 #include "graph/partition.h"
+#include "util/arena.h"
 #include "util/rng.h"
 
 namespace tft {
@@ -107,10 +110,52 @@ TEST(Partition, SinglePlayerGetsEverything) {
   EXPECT_EQ(players[0].local.num_edges(), g.num_edges());
 }
 
+/// A generator's sorted list, dealt as a span, gives the same players and
+/// leaves the Rng in the same state as the Graph built from that list,
+/// whatever the options.
+TEST(Partition, SpanOfAGeneratorListMatchesTheGraphOverload) {
+  PartitionOptions dup;
+  dup.dup_factor = 2.5;
+  PartitionOptions heavy;
+  heavy.heavy_fraction = 0.4;
+  PartitionOptions vertex;
+  vertex.by_vertex = true;
+  PartitionOptions all = dup;
+  all.heavy_fraction = 0.3;
+  all.by_vertex = true;
+  Rng gen_rng(10);
+  ArenaScope scope;
+  const std::pair<Vertex, std::span<const Edge>> lists[] = {
+      {300, gen::gnp_edges(300, 0.05, gen_rng, scope.arena())},
+      {301, gen::bipartite_gnp_edges(301, 0.08, gen_rng, scope.arena())},
+      {5, {}}};
+  for (const auto& [n, list] : lists) {
+    const Graph g(n, {list.begin(), list.end()});
+    for (const std::size_t k : {1u, 3u, 4u}) {
+      for (PartitionOptions opts : {PartitionOptions{}, dup, heavy, vertex, all}) {
+        opts.dup_factor = std::min<double>(opts.dup_factor, static_cast<double>(k));
+        Rng a(11);
+        Rng b(11);
+        const auto from_graph = partition_edges(g, k, opts, a);
+        const auto from_span = partition_edges(n, list, k, opts, b);
+        ASSERT_EQ(from_span.size(), k);
+        for (std::size_t j = 0; j < k; ++j) {
+          const auto span_edges = from_span[j].local.edges();
+          EXPECT_EQ(from_span[j].n(), n);
+          EXPECT_TRUE(std::ranges::equal(span_edges, from_graph[j].local.edges()))
+              << "n=" << n << " k=" << k << " player " << j;
+        }
+        EXPECT_EQ(a(), b()) << "n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
 TEST(Partition, InvalidArguments) {
   Rng rng(8);
   const Graph g = make_test_graph(rng);
   EXPECT_THROW(partition_random(g, 0, rng), std::invalid_argument);
+  EXPECT_THROW(partition_random(g, (std::size_t{1} << 31) + 1, rng), std::invalid_argument);
   PartitionOptions bad;
   bad.dup_factor = 0.5;
   EXPECT_THROW(partition_edges(g, 2, bad, rng), std::invalid_argument);

@@ -138,6 +138,87 @@ TEST(ServiceSpec, BuildPlayersIsAPureFunctionOfTheSpec) {
   }
 }
 
+/// CRC-32 of an edge list written as little-endian 32-bit (u, v) words.
+std::uint32_t edge_list_crc(std::span<const Edge> edges) {
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(edges.size() * 8);
+  for (const Edge& e : edges) {
+    for (const Vertex w : {e.u, e.v}) {
+      for (int shift = 0; shift < 32; shift += 8) {
+        bytes.push_back(static_cast<std::uint8_t>(w >> shift));
+      }
+    }
+  }
+  return net::crc32(bytes);
+}
+
+// The player inputs of one spec per instance family, frozen as each player's
+// vertex count, edge count and edge-list CRC. The literals were recorded from
+// the Graph-first build (the whole instance as a Graph, then
+// partition_random over its edges) before gnp and bipartite were dealt
+// straight from their generators' sorted edge lists. perfbench rebuilds
+// each op's input with the same build_players, so this test is the check
+// that the instances themselves stay put.
+TEST(ServiceSpec, BuildPlayersMatchesFrozenInputs) {
+  struct Digest {
+    std::size_t edges;
+    std::uint32_t crc;
+  };
+  struct Case {
+    InstanceFamily family;
+    std::uint32_t n;
+    std::uint32_t k;
+    std::uint64_t param;
+    std::uint64_t seed;
+    Vertex players_n;  ///< mu builds on 3 * (n / 3) vertices
+    std::vector<Digest> players;
+  };
+  const std::vector<Case> cases = {
+      // serve_bulk's two shapes.
+      {InstanceFamily::kGnp, 20000, 4, 2000, 1, 20000,
+       {{49817, 0xee50540d}, {50054, 0x37b7c621}, {49478, 0xad920a23}, {50134, 0x787657f1}}},
+      {InstanceFamily::kGnp, 20000, 4, 3000, 2, 20000,
+       {{74930, 0x72dd1624}, {75277, 0xd10283c7}, {74707, 0xdd39a22a}, {74407, 0xc41def16}}},
+      // serve_chatty's shape.
+      {InstanceFamily::kPlanted, 3217, 4, 0, 3, 3217,
+       {{494, 0x6c3378a7}, {504, 0xdcbeab12}, {494, 0xe4859de1}, {518, 0x7aa28c54}}},
+      {InstanceFamily::kBipartite, 5000, 4, 0, 4, 5000,
+       {{4911, 0xe4633419}, {4991, 0x0e5eadfb}, {4939, 0x17f87fde}, {5131, 0xd65aded0}}},
+      {InstanceFamily::kHub, 3001, 4, 0, 5, 3001,
+       {{3323, 0xd915e35b}, {3302, 0xc2a1c838}, {3527, 0x1048dd64}, {3337, 0x64c88818}}},
+      {InstanceFamily::kMu, 3001, 4, 0, 6, 3000,
+       {{21428, 0xf9e15369}, {21495, 0x236ffc57}, {21387, 0x71ada483}, {21304, 0xceb87c5c}}},
+      {InstanceFamily::kGnp, 2000, 1, 1600, 7, 2000, {{15775, 0x97c932b2}}},
+      {InstanceFamily::kBipartite, 4001, 7, 3000, 8, 4001,
+       {{8641, 0x04013823}, {8642, 0x9c0a5f51}, {8459, 0x37c13b4b}, {8623, 0xe17522f3},
+        {8535, 0xd66bef67}, {8533, 0x22a9d99e}, {8513, 0x94fd07f6}}},
+      {InstanceFamily::kGnp, 5000, 7, 0, 9, 5000,
+       {{5644, 0x4475468d}, {5666, 0x43565545}, {5891, 0xfae3bffc}, {5735, 0xac2a3ce9},
+        {5629, 0x57fe7407}, {5712, 0xa4cf7597}, {5814, 0x4c81ef94}}},
+      // p >= 1: every pair, so the generators emit runs of consecutive indices.
+      {InstanceFamily::kGnp, 60, 3, 10000, 10, 60,
+       {{577, 0xc2325456}, {599, 0x408e6791}, {594, 0x1884a9bc}}},
+      {InstanceFamily::kBipartite, 61, 2, 10000, 11, 61, {{463, 0xf51276ac}, {467, 0x1f8c9b40}}},
+  };
+  for (const Case& c : cases) {
+    SessionSpec spec;
+    spec.family = c.family;
+    spec.n = c.n;
+    spec.k = c.k;
+    spec.param = c.param;
+    spec.seed = c.seed;
+    const auto players = build_players(spec);
+    SCOPED_TRACE(std::string(to_string(c.family)) + " n=" + std::to_string(c.n) +
+                 " seed=" + std::to_string(c.seed));
+    ASSERT_EQ(players.size(), c.players.size());
+    for (std::size_t j = 0; j < players.size(); ++j) {
+      EXPECT_EQ(players[j].n(), c.players_n) << "player " << j;
+      EXPECT_EQ(players[j].local.num_edges(), c.players[j].edges) << "player " << j;
+      EXPECT_EQ(edge_list_crc(players[j].local.edges()), c.players[j].crc) << "player " << j;
+    }
+  }
+}
+
 // ---- transport registry (CLI surface) ---------------------------------------
 
 TEST(ServiceTransports, NameRegistryRoundTrips) {
