@@ -79,5 +79,12 @@ run service --n=400 --iters=2 --sweep=0 --shard_rows=1
 # dispatch contract (the bench hard-fails if they are not).
 run kernels --n=2000 --trials=1 --kernel=scalar --kernel_rows=1 --sweep=0
 
+# Charge contention: chatty-shaped sessions charged by 1 and 4 driving
+# threads into one real-clock shard. The counts (sessions, charges, charged
+# and payload bits, messages, delivered frames) are pure functions of the
+# session slots, which no retransmission moves; the CPU per charge and the
+# sessions/s are TIME_KEY-stripped.
+run service --sweep=0 --contention_rows=1
+
 cat "$TMP"/*.json > "$OUT"
 echo "wrote $(wc -l < "$OUT") rows to $OUT" >&2

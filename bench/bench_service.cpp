@@ -13,6 +13,12 @@
 //                   "shard_sweep", plus a "shard_identity" A/B row: the
 //                   same fleet at N=1 and N=4 must produce per-session
 //                   outcomes that match field for field (`match`=1).
+//   --contention_rows=1
+//                   charge contention on one shard, rows "charge_contention"
+//                   for 1 and 4 driving threads: chatty-shaped sessions
+//                   (k = 4, 3700 charges of 1-4 bits over 10 phases, crash
+//                   tolerance on, in-proc, real clock) charged straight into
+//                   a SharedServicer, with the process CPU per charge.
 //
 // Determinism: each session's spec is a pure function of its (worker, iter)
 // slot, every session runs fault-free under the virtual clock, and the
@@ -25,6 +31,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <thread>
 #include <vector>
 
@@ -33,9 +40,12 @@
 #include "comm/conformance.h"
 #include "net/executed.h"
 #include "net/runtime.h"
+#include "net/servicer.h"
+#include "net/transport.h"
 #include "runner.h"
 #include "service/coordinator.h"
 #include "util/flags.h"
+#include "util/rng.h"
 
 using namespace tft;
 using Clock = std::chrono::steady_clock;
@@ -148,6 +158,100 @@ LoadResult run_config(std::size_t shards, std::size_t inflight, std::size_t sess
   return drive_service(coordinator, inflight, sessions, n, k);
 }
 
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// The chatty session shape of the contention rows: serve_chatty's
+/// unrestricted estimator sends about this many 1-4 bit messages per
+/// session, over this many phase barriers. Every row charges the same
+/// sessions, split evenly over its drivers.
+constexpr std::size_t kContentionPlayers = 4;
+constexpr std::uint64_t kContentionCharges = 3700;
+constexpr std::uint64_t kContentionPhases = 10;
+constexpr std::size_t kContentionSessions = 256;
+
+struct ContentionResult {
+  std::uint64_t sessions = 0;
+  std::uint64_t charges = 0;
+  std::uint64_t charged_bits = 0;
+  std::uint64_t payload_bits = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t frames = 0;
+  bool all_exact = true;
+  double cpu_seconds = 0.0;
+  double seconds = 0.0;
+};
+
+/// `drivers` threads, each charging its share of kContentionSessions
+/// sessions one after another into one real-clock shard. Every count but
+/// the CPU and wall time is a pure function of the session slots, so both
+/// rows read the same counts: a frame's contents follow from its link's
+/// charge sequence, and retransmissions move no field kept here.
+ContentionResult drive_contention(std::size_t drivers) {
+  net::InProcTransport transport;
+  net::SharedServicer servicer(net::SharedServicer::Options{});
+  servicer.start();
+  std::vector<ContentionResult> per_driver(drivers);
+  const std::size_t share = kContentionSessions / drivers;
+  const auto drive = [&](std::size_t d) {
+    ContentionResult& r = per_driver[d];
+    for (std::size_t i = 0; i < share; ++i) {
+      const std::uint64_t slot = d * share + i;
+      net::SharedServicer::SessionOptions so;
+      so.num_players = kContentionPlayers;
+      so.session_id = static_cast<std::uint32_t>(slot + 1);
+      so.crash_tolerance = true;
+      const std::size_t sidx = servicer.open_session(transport, so);
+      std::uint64_t charged = 0;
+      {
+        net::SessionSink sink(&servicer, sidx);
+        for (std::uint64_t c = 0; c < kContentionCharges; ++c) {
+          const std::uint64_t bits = 1 + (fmix64(slot * kContentionCharges + c) & 3);
+          const auto dir = (c / kContentionPlayers) % 2 == 0 ? Direction::kPlayerToCoordinator
+                                                             : Direction::kCoordinatorToPlayer;
+          sink.on_charge(c % kContentionPlayers, dir, bits,
+                         c * kContentionPhases / kContentionCharges);
+          charged += bits;
+        }
+      }
+      const net::WireStats w = servicer.close_session(sidx);
+      servicer.rethrow_session_error(sidx);
+      ++r.sessions;
+      r.charges += kContentionCharges;
+      r.charged_bits += charged;
+      r.payload_bits += w.payload_bits();
+      r.messages += w.messages();
+      r.frames += w.frames_delivered;
+      r.all_exact = r.all_exact && w.payload_bits() == charged &&
+                    w.messages() == kContentionCharges;
+    }
+  };
+  const double cpu0 = process_cpu_seconds();
+  const auto t0 = Clock::now();
+  std::vector<std::thread> threads;
+  threads.reserve(drivers);
+  for (std::size_t d = 0; d < drivers; ++d) threads.emplace_back(drive, d);
+  for (auto& t : threads) t.join();
+  ContentionResult total;
+  total.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+  total.cpu_seconds = process_cpu_seconds() - cpu0;
+  servicer.finish();
+  servicer.rethrow_error();
+  for (const ContentionResult& r : per_driver) {
+    total.sessions += r.sessions;
+    total.charges += r.charges;
+    total.charged_bits += r.charged_bits;
+    total.payload_bits += r.payload_bits;
+    total.messages += r.messages;
+    total.frames += r.frames;
+    total.all_exact = total.all_exact && r.all_exact;
+  }
+  return total;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -159,6 +263,7 @@ int main(int argc, char** argv) {
   const bool vclock = flags.get_bool("vclock", true);
   const bool sweep = flags.get_bool("sweep", true);
   const bool shard_rows = flags.get_bool("shard_rows", false);
+  const bool contention_rows = flags.get_bool("contention_rows", false);
   bench::JsonRows json(flags, "bench_service");
 
   bench::header("E-SERVICE bench_service",
@@ -277,6 +382,46 @@ int main(int argc, char** argv) {
                                                   (one.all_exact && four.all_exact) ? 1 : 0)},
                                 {"match", static_cast<std::uint64_t>(match ? 1 : 0)}});
     if (!match) return 1;  // the determinism contract is the bench's point
+  }
+
+  if (contention_rows) {
+    // E-SERVICE-CONTENTION: what driving threads pay for sharing one shard.
+    // A charge that only grows an open batch takes no lock, so 4 drivers
+    // should use little more CPU per charge than one.
+    std::printf("\n-- charge contention (1 shard, k=%zu, %llu charges over %llu phases) --\n",
+                kContentionPlayers, static_cast<unsigned long long>(kContentionCharges),
+                static_cast<unsigned long long>(kContentionPhases));
+    double one_driver_us = 0.0;
+    bool all_exact = true;
+    for (const std::size_t drivers : {1u, 4u}) {
+      const ContentionResult r = drive_contention(drivers);
+      const double us_per_charge = r.cpu_seconds * 1e6 / static_cast<double>(r.charges);
+      const double rate = static_cast<double>(r.sessions) / r.seconds;
+      if (drivers == 1) one_driver_us = us_per_charge;
+      const double ratio = one_driver_us > 0.0 ? us_per_charge / one_driver_us : 0.0;
+      all_exact = all_exact && r.all_exact;
+      bench::row({{"drivers", static_cast<double>(drivers)},
+                  {"sessions", static_cast<double>(r.sessions)},
+                  {"cpu_us_per_charge", us_per_charge},
+                  {"vs_one_driver", ratio},
+                  {"sessions_per_s", rate},
+                  {"all_exact", r.all_exact ? 1.0 : 0.0}});
+      json.row("charge_contention",
+               {{"k", static_cast<std::uint64_t>(kContentionPlayers)},
+                {"shards", std::uint64_t{1}},
+                {"drivers", static_cast<std::uint64_t>(drivers)},
+                {"sessions", r.sessions},
+                {"charges", r.charges},
+                {"charged_bits", r.charged_bits},
+                {"payload_bits", r.payload_bits},
+                {"messages", r.messages},
+                {"frames", r.frames},
+                {"all_exact", static_cast<std::uint64_t>(r.all_exact ? 1 : 0)},
+                {"cpu_time_us_per_charge", us_per_charge},
+                {"cpu_time_vs_one_driver", ratio},
+                {"sessions_per_s", rate}});
+    }
+    if (!all_exact) return 1;  // wire bits must equal charged bits, as in every row
   }
   return 0;
 }

@@ -43,6 +43,11 @@
 ///     a session is pinned to one shard for life, so every window is only
 ///     ever touched under its shard's mutex by its shard's poller (or by a
 ///     driving thread holding that same mutex).
+///   - ChargeRec open batches and charge logs: not shared at all. They live
+///     in the session's driver-owned lanes (SessionState::lanes), which
+///     only the session's one driving thread touches, without the mutex;
+///     a batch becomes a frame, and gets its sequence number, only under
+///     the mutex.
 ///   - Entry/Frame deques and the SACK map: per-window containers, no
 ///     statics, no globals, no allocator state beyond the default heap.
 ///   - Free functions (seq_dist, codec helpers): pure; scratch buffers are

@@ -112,6 +112,7 @@ NetSession::NetSession(std::size_t num_players, const NetConfig& cfg) : k_(num_p
   so.seed = cfg.session_seed;
   so.crash_tolerance = cfg.crash_tolerance;
   sid_ = servicer_->open_session(*transport_, so);
+  row_ = &servicer_->session_row(sid_);
   servicer_->start();
 }
 
@@ -128,7 +129,7 @@ void NetSession::on_charge(std::size_t player, Direction dir, std::uint64_t bits
   if (finished_) {
     throw NetError(NetErrorKind::kClosed, "charge after the session finished");
   }
-  servicer_->session_charge(sid_, player, dir == Direction::kPlayerToCoordinator, bits, phase);
+  servicer_->session_charge(*row_, player, dir == Direction::kPlayerToCoordinator, bits, phase);
 }
 
 void NetSession::on_flush() {

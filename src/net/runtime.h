@@ -169,6 +169,7 @@ class NetSession final : public ChannelSink {
   std::unique_ptr<Transport> transport_;
   std::unique_ptr<SharedServicer> servicer_;
   std::size_t sid_ = 0;  ///< servicer table index of our session (wire id 0)
+  SessionState* row_ = nullptr;  ///< its row, resolved once (SharedServicer::session_row)
   bool finished_ = false;
   WireStats result_;
 };

@@ -1,6 +1,7 @@
 #include "net/servicer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <unordered_set>
 #include <utility>
@@ -11,6 +12,36 @@
 namespace tft::net {
 
 namespace {
+
+/// Hand the lane's open batch to `seal` and start an empty one.
+template <class Seal>
+void close_batch(DriverLane& lane, Seal&& seal) {
+  seal(lane.open_batch);
+  lane.open_batch.clear();
+  lane.open_batch_bits = 0;
+}
+
+/// The coalescing rule, the one body behind live charges and recovery
+/// replay: the charge joins the lane's open batch, and `seal` receives each
+/// batch the charge closes — the open one when the charge does not fit
+/// beside it, then the charge's own once it fills (at once when the policy
+/// does not coalesce). The frame stream is a pure function of the lane's
+/// charge sequence, whichever thread runs this and whenever it seals.
+template <class Seal>
+void coalesce_charge(const ArqPolicy& arq, DriverLane& lane, std::uint64_t phase,
+                     std::uint64_t bits, Seal&& seal) {
+  const bool fits = lane.open_batch.empty() ||
+                    (lane.open_batch.size() < arq.max_batch_msgs &&
+                     lane.open_batch_bits + bits <= arq.max_batch_bits &&
+                     lane.open_batch.front().phase == phase);
+  if (!fits) close_batch(lane, seal);
+  lane.open_batch.push_back({phase, bits});
+  lane.open_batch_bits += bits;
+  if (!arq.coalesce || lane.open_batch.size() >= arq.max_batch_msgs ||
+      lane.open_batch_bits >= arq.max_batch_bits) {
+    close_batch(lane, seal);
+  }
+}
 
 /// Compact an out-buffer once its consumed prefix dominates.
 void compact(std::vector<std::uint8_t>& buf, std::size_t& pos) {
@@ -25,13 +56,14 @@ void compact(std::vector<std::uint8_t>& buf, std::size_t& pos) {
 
 }  // namespace
 
-/// Everything one directed link owns: the driving side's open batch and
-/// sealed-frame queue, the sender window with its pending out-bytes, and
-/// the receiving state machine with its ack out-bytes. All of it guarded
-/// by the owning shard's mutex.
+/// Everything the poller shares about one directed link: the sealed-frame
+/// queue, the sender window with its pending out-bytes, and the receiving
+/// state machine with its ack out-bytes. All of it guarded by the owning
+/// shard's mutex. The link's open batch and charge log are not here: they
+/// belong to the session's driving thread (SessionState::lanes).
 struct SharedServicer::LinkState {
   LinkState(Link l, std::uint32_t id, std::uint32_t s, std::uint32_t d, const Options& opts,
-            const FaultPlan& faults, std::uint32_t sess_id, std::size_t sess_index, bool log)
+            const FaultPlan& faults, std::uint32_t sess_id, std::size_t sess_index)
       : link(std::move(l)),
         link_id(id),
         src(s),
@@ -39,7 +71,6 @@ struct SharedServicer::LinkState {
         injector(faults, id, sess_id),
         session_id(sess_id),
         session(sess_index),
-        log_charges(log),
         window(opts.arq),
         rcv(opts.arq) {}
 
@@ -50,14 +81,11 @@ struct SharedServicer::LinkState {
   FaultInjector injector;
   std::uint32_t session_id;  ///< wire session id stamped on every frame
   std::size_t session;       ///< shard-local session index
-  bool log_charges;          ///< append to charge_log (crash tolerance)
   /// Cleared when the owning session closes or fails: an inactive link
   /// counts as drained, is skipped by the sweep, and holds no deadlines.
   bool active = true;
 
-  // Driving side (sealed under the shard mutex by the enqueue calls).
-  std::vector<ChargeRec> open_batch;
-  std::uint64_t open_batch_bits = 0;
+  // Sealed frames, numbered and queued under the shard mutex.
   std::uint32_t next_seq = 0;
   std::deque<Frame> queue;  ///< sealed, awaiting window admission
 
@@ -77,20 +105,21 @@ struct SharedServicer::LinkState {
   ReceiverStats rstats;
   std::vector<ChargeRec> batch_scratch;
 
-  // Crash tolerance (SessionOptions::crash_tolerance). `barrier` +
-  // `charge_log` are the recovery pair: the lane state at the last flush and
-  // the charges sealed since — replaying the log from the barrier
+  // Crash tolerance (SessionOptions::crash_tolerance). `barrier` and the
+  // lane's charge log are the recovery pair: the link state at the last
+  // flush and the charges made since — replaying the log from the barrier
   // regenerates the frame stream bit for bit.
   LinkCheckpoint barrier;
-  std::vector<ChargeRec> charge_log;
   bool src_down = false;   ///< this link's sender died (a dead player's up link)
   bool dst_down = false;   ///< this link's receiver died (a dead player's down link)
   std::uint64_t down_deadline_us = 0;  ///< resume-or-fail deadline while down
   std::uint32_t ctrl_seq = 0;          ///< out-of-band control frame ordinal
   std::uint64_t epoch = 0;  ///< ack fence: bumped each time the receiver dies
 
+  /// Nothing sealed is left to send or acknowledge. An open batch is the
+  /// driver's, not the poller's: a barrier or close seals it first.
   [[nodiscard]] bool drained() const noexcept {
-    return !active || (open_batch.empty() && queue.empty() && window.empty());
+    return !active || (queue.empty() && window.empty());
   }
 };
 
@@ -106,6 +135,8 @@ struct SharedServicer::Shard {
   std::condition_variable work_cv;   ///< wakes the poller (new work / stop)
   std::condition_variable space_cv;  ///< wakes driving waits (space / drain / error)
   bool stop = false;
+  /// Raised with error_kind (under mu): charges read it without the lock.
+  std::atomic<bool> failed{false};
 
   int driving_waiting = 0;  ///< driving threads blocked => quiescence may advance vclock
   /// Open sessions whose drivers may still act. The virtual clock advances
@@ -205,6 +236,7 @@ std::size_t SharedServicer::open_session(Transport& transport, const SessionOpti
   SessionState& ss = sh.sessions.emplace_back();
   ss.id = so.session_id;
   ss.k = so.num_players;
+  ss.shard = shard_idx;
   // Prefer a reclaimed slot run of the same width over growing the table:
   // a service that opens and closes sessions forever stays at its peak
   // footprint, and the reused slots' pages are already hot.
@@ -223,6 +255,7 @@ std::size_t SharedServicer::open_session(Transport& transport, const SessionOpti
   ss.crash_tolerance = so.crash_tolerance;
   ss.faults = so.faults ? *so.faults : opts_.faults;
   ss.ckpts = CheckpointStore(so.num_players);
+  ss.lanes.resize(2 * so.num_players);
   ss.charge_counts.resize(so.num_players);
 
   const std::uint32_t coord = static_cast<std::uint32_t>(so.num_players);
@@ -234,8 +267,7 @@ std::size_t SharedServicer::open_session(Transport& transport, const SessionOpti
     const std::uint32_t pj = static_cast<std::uint32_t>(up ? j : j - so.num_players);
     auto ls = std::make_unique<LinkState>(
         std::move(minted[j]), /*link_id=*/up ? pj : coord + 1 + pj, /*src=*/up ? pj : coord,
-        /*dst=*/up ? coord : pj, opts_, ss.faults, ss.id, local,
-        /*log=*/ss.crash_tolerance);
+        /*dst=*/up ? coord : pj, opts_, ss.faults, ss.id, local);
     if (grow) {
       sh.links.push_back(std::move(ls));
     } else {
@@ -277,6 +309,7 @@ void SharedServicer::record_error(Shard& sh, NetErrorKind kind, std::string what
   if (!sh.error_kind) {
     sh.error_kind = kind;
     sh.error_what = std::move(what);
+    sh.failed.store(true);
   }
 }
 
@@ -325,38 +358,25 @@ void SharedServicer::seal_data_frame(LinkState& link, std::uint64_t phase, std::
   link.queue.push_back(std::move(f));
 }
 
-void SharedServicer::seal_open_batch(LinkState& link) {
-  if (link.open_batch.empty()) return;
-  if (link.open_batch.size() == 1) {
+void SharedServicer::seal_batch_locked(LinkState& link, const std::vector<ChargeRec>& batch) {
+  if (batch.size() == 1) {
     // A batch of one is emitted as a plain kData frame: byte-identical to
     // the uncoalesced encoding, and a solo oversized charge keeps the
     // full kMaxPayloadBits headroom.
-    seal_data_frame(link, link.open_batch.front().phase, link.open_batch.front().bits);
-  } else {
-    Frame f = make_batch_frame(link.src, link.dst, link.next_seq, link.open_batch,
-                               link.session_id);
-    link.next_seq = (link.next_seq + 1) % opts_.arq.seq_modulus;
-    link.queue.push_back(std::move(f));
+    seal_data_frame(link, batch.front().phase, batch.front().bits);
+    return;
   }
-  link.open_batch.clear();
-  link.open_batch_bits = 0;
+  link.queue.push_back(
+      make_batch_frame(link.src, link.dst, link.next_seq, batch, link.session_id));
+  link.next_seq = (link.next_seq + 1) % opts_.arq.seq_modulus;
 }
 
-void SharedServicer::seal_charge(LinkState& link, std::uint64_t phase, std::uint64_t bits) {
-  if (opts_.arq.coalesce) {
-    const bool fits = link.open_batch.empty() ||
-                      (link.open_batch.size() < opts_.arq.max_batch_msgs &&
-                       link.open_batch_bits + bits <= opts_.arq.max_batch_bits &&
-                       link.open_batch.front().phase == phase);
-    if (!fits) seal_open_batch(link);
-    link.open_batch.push_back({phase, bits});
-    link.open_batch_bits += bits;
-    if (link.open_batch.size() >= opts_.arq.max_batch_msgs ||
-        link.open_batch_bits >= opts_.arq.max_batch_bits) {
-      seal_open_batch(link);
-    }
-  } else {
-    seal_data_frame(link, phase, bits);
+void SharedServicer::replay_lane_locked(LinkState& link, DriverLane& lane) {
+  lane.open_batch.clear();
+  lane.open_batch_bits = 0;
+  for (const ChargeRec& rec : lane.charge_log) {
+    coalesce_charge(opts_.arq, lane, rec.phase, rec.bits,
+                    [&](const std::vector<ChargeRec>& batch) { seal_batch_locked(link, batch); });
   }
 }
 
@@ -411,6 +431,7 @@ void SharedServicer::fail_session_locked(Shard& sh, const LinkState& link, NetEr
   if (ss.failed()) return;
   ss.error_kind = kind;
   ss.error_what = std::move(what);
+  ss.halted.store(true);
   // Retire the session's links so the sweep skips them, their deadlines
   // stop driving the clock, and drained() holds — other sessions and the
   // global finish() never wait on a corpse.
@@ -423,8 +444,11 @@ void SharedServicer::fail_session_locked(Shard& sh, const LinkState& link, NetEr
 
 void SharedServicer::drain_session_locked(Shard& sh, std::unique_lock<std::mutex>& lock,
                                           SessionState& ss) {
-  for (std::size_t i = ss.link_base; i < ss.link_base + 2 * ss.k; ++i) {
-    seal_open_batch(*sh.links[i]);
+  for (std::size_t j = 0; j < 2 * ss.k; ++j) {
+    if (ss.lanes[j].open_batch.empty()) continue;
+    LinkState& link = *sh.links[ss.link_base + j];
+    close_batch(ss.lanes[j],
+                [&](const std::vector<ChargeRec>& batch) { seal_batch_locked(link, batch); });
   }
   ++sh.driving_waiting;
   while (!sh.error_kind && !ss.failed() && !session_drained_locked(sh, ss)) {
@@ -445,15 +469,15 @@ void SharedServicer::session_barrier_locked(Shard& sh, std::unique_lock<std::mut
     // and out-buffers are drained end to end, so each of its links' state
     // is fully captured by this snapshot, and its charge logs restart
     // empty. Other sessions' pipelines are none of our business.
-    for (std::size_t i = ss.link_base; i < ss.link_base + 2 * ss.k; ++i) {
-      LinkState& link = *sh.links[i];
+    for (std::size_t j = 0; j < 2 * ss.k; ++j) {
+      LinkState& link = *sh.links[ss.link_base + j];
       link.barrier.next_seq = link.next_seq;
       link.barrier.next_expected = link.rcv.next_expected();
       link.barrier.frames = link.rstats.frames;
       link.barrier.messages = link.rstats.messages;
       link.barrier.payload_bits = link.rstats.payload_bits;
       link.barrier.phase_bits = link.rstats.phase_bits;
-      link.charge_log.clear();
+      ss.lanes[j].charge_log.clear();
     }
   }
 }
@@ -470,16 +494,17 @@ void SharedServicer::refresh_session_checkpoints_locked(Shard& sh, SessionState&
   }
 }
 
-void SharedServicer::maybe_crash_locked(Shard& sh, SessionState& ss, std::size_t player,
-                                        std::uint64_t phase) {
+void SharedServicer::maybe_crash(Shard& sh, std::unique_lock<std::mutex>& lock,
+                                 SessionState& ss, std::size_t player, std::uint64_t phase) {
   auto& counts = ss.charge_counts[player];
   if (counts.size() <= phase) counts.resize(static_cast<std::size_t>(phase) + 1, 0);
   const std::uint64_t count = counts[static_cast<std::size_t>(phase)]++;
   const std::optional<std::uint64_t> off =
       crash_offset(ss.faults, static_cast<std::uint32_t>(player), phase, ss.id);
   if (!off || *off != count) return;
+  if (!lock.owns_lock()) lock.lock();
   // The process dies between two charges — never mid-frame. The servicer
-  // fences the corpse's lanes and announces the death...
+  // fences the corpse's links and announces the death...
   const std::size_t up = ss.link_base + player;
   const std::size_t down = ss.link_base + ss.k + player;
   crash_player_locked(sh, up, down, static_cast<std::uint32_t>(player), phase);
@@ -493,38 +518,66 @@ void SharedServicer::maybe_crash_locked(Shard& sh, SessionState& ss, std::size_t
   }
 }
 
+SessionState& SharedServicer::session_row(std::size_t session) {
+  Shard& sh = *shards_[session % num_shards_];
+  const std::lock_guard lock(sh.mu);
+  return sh.sessions[session / num_shards_];
+}
+
 void SharedServicer::session_charge(std::size_t session, std::size_t player, bool upstream,
                                     std::uint64_t bits, std::uint64_t phase) {
-  Shard& sh = *shards_[session % num_shards_];
-  std::unique_lock lock(sh.mu);
-  SessionState& ss = enter_session_locked(sh, session / num_shards_, player);
+  session_charge(session_row(session), player, upstream, bits, phase);
+}
+
+void SharedServicer::session_charge(SessionState& ss, std::size_t player, bool upstream,
+                                    std::uint64_t bits, std::uint64_t phase) {
+  Shard& sh = *shards_[ss.shard];
+  // Only the session's driving thread charges it, so the phase cursor, the
+  // crash counts, the charge logs and the open batches are its own. The
+  // shard lock guards what the poller shares, and is taken only for that:
+  // a frame this charge seals (with its backpressure wait), the phase
+  // barrier, a scheduled crash, and the typed error of a halted session or
+  // a failed shard.
+  std::unique_lock lock(sh.mu, std::defer_lock);
+  const auto hold = [&lock] {
+    if (!lock.owns_lock()) lock.lock();
+  };
+  if (player >= ss.k || ss.halted.load() || sh.failed.load()) {
+    hold();
+    enter_session_locked(sh, ss, player);  // throws the typed error
+  }
   // Phase barrier: the session's pipeline drains completely before the
   // first charge of a new phase, so frames never mix phases and the
   // executed run keeps the round structure the Transcript records.
   if (phase != ss.last_phase) {
+    hold();
     session_barrier_locked(sh, lock, ss);
     ss.last_phase = phase;
     if (ss.crash_tolerance) refresh_session_checkpoints_locked(sh, ss);
   }
-  if (ss.crash_tolerance && ss.faults.has_crashes()) maybe_crash_locked(sh, ss, player, phase);
-  LinkState& link = *sh.links[ss.link_base + (upstream ? player : ss.k + player)];
-  const std::size_t sealed_before = link.queue.size();
+  if (ss.crash_tolerance && ss.faults.has_crashes()) maybe_crash(sh, lock, ss, player, phase);
+  const std::size_t lane_index = upstream ? player : ss.k + player;
+  DriverLane& lane = ss.lanes[lane_index];
   // The log, not the live queue, is recovery's source of truth: replaying
-  // it through seal_charge reproduces the coalescing decisions and hence
-  // the exact frame stream (which is a pure per-link function of the
+  // it through coalesce_charge reproduces the coalescing decisions and
+  // hence the exact frame stream (which is a pure per-link function of the
   // per-link charge sequence).
-  if (link.log_charges) link.charge_log.push_back({phase, bits});
-  seal_charge(link, phase, bits);
-  // Wake the servicer only when a frame was actually sealed: a charge that
-  // merely grew the open batch gives it nothing to do, and this is the
-  // windowed pipeline's hot loop.
-  if (link.queue.size() != sealed_before) sh.work_cv.notify_one();
-  wait_for_space(sh, lock, link);
+  if (ss.crash_tolerance) lane.charge_log.push_back({phase, bits});
+  LinkState* sealed = nullptr;
+  coalesce_charge(opts_.arq, lane, phase, bits, [&](const std::vector<ChargeRec>& batch) {
+    hold();
+    sealed = sh.links[ss.link_base + lane_index].get();
+    seal_batch_locked(*sealed, batch);
+  });
+  // A charge that merely grew the open batch gives the poller nothing to
+  // do and takes no lock: this is the windowed pipeline's hot loop.
+  if (sealed == nullptr) return;
+  sh.work_cv.notify_one();
+  wait_for_space(sh, lock, *sealed);
 }
 
-SessionState& SharedServicer::enter_session_locked(Shard& sh, std::size_t local,
-                                                  std::size_t player) {
-  SessionState& ss = sh.sessions[local];
+void SharedServicer::enter_session_locked(const Shard& sh, const SessionState& ss,
+                                          std::size_t player) const {
   throw_if_error_locked(sh);
   throw_if_session_failed_locked(ss);
   if (ss.closed) {
@@ -533,14 +586,14 @@ SessionState& SharedServicer::enter_session_locked(Shard& sh, std::size_t local,
   if (player >= ss.k) {
     throw NetError(NetErrorKind::kProtocol, "charge names a player outside [0, k)");
   }
-  return ss;
 }
 
 void SharedServicer::session_relay(std::size_t session, std::size_t player,
                                    std::size_t recipient, std::uint64_t bits) {
   Shard& sh = *shards_[session % num_shards_];
   std::unique_lock lock(sh.mu);
-  SessionState& ss = enter_session_locked(sh, session / num_shards_, player);
+  SessionState& ss = sh.sessions[session / num_shards_];
+  enter_session_locked(sh, ss, player);
   if (recipient >= ss.k) {
     throw NetError(NetErrorKind::kProtocol, "relay names a recipient outside [0, k)");
   }
@@ -604,17 +657,23 @@ WireStats SharedServicer::close_session(std::size_t session) {
 
   ss.result = std::move(w);
   ss.closed = true;
+  ss.halted.store(true);
   sh.open_ids.erase(ss.id);
   release_driver_locked(sh, ss);
   // Reclaim the session's link state — the rings, windows and scratch
   // buffers are the servicer's dominant per-session footprint, and the
   // stats they carried were just folded into ss.result. The slots go on
-  // the free list so the next session of the same width reuses them.
-  for (std::size_t i = ss.link_base; i < ss.link_base + 2 * ss.k; ++i) {
-    sh.links[i]->active = false;
-    sh.links[i]->link.close();
-    sh.links[i].reset();
+  // the free list so the next session of the same width reuses them. No
+  // driver acts after close, so each link's driver lane goes with it.
+  for (std::size_t j = 0; j < 2 * ss.k; ++j) {
+    ss.lanes[j] = {};
+    std::unique_ptr<LinkState>& link = sh.links[ss.link_base + j];
+    link->active = false;
+    link->link.close();
+    link.reset();
   }
+  ss.lanes = {};
+  ss.charge_counts = {};
   sh.free_link_blocks.emplace_back(ss.link_base, 2 * ss.k);
   sh.work_cv.notify_one();
   sh.space_cv.notify_all();
@@ -675,8 +734,6 @@ void SharedServicer::restore_sender(LinkState& link, const LinkCheckpoint& ck) {
     throw NetError(NetErrorKind::kProtocol,
                    "too many frames since the last checkpoint to replay unambiguously");
   }
-  link.open_batch.clear();
-  link.open_batch_bits = 0;
   link.queue.clear();
   link.window.reset(ck.next_seq);
   link.next_seq = ck.next_seq;
@@ -703,8 +760,10 @@ void SharedServicer::recover_player_locked(Shard& sh, std::size_t up_index,
                                            SessionState& ss) {
   LinkState& up = *sh.links[up_index];
   LinkState& down = *sh.links[down_index];
-  restore_sender(up, ck.up);      // the player's outbound lane rewinds...
-  restore_sender(down, ck.down);  // ...and the coordinator rewinds its lane to match
+  DriverLane& up_lane = ss.lanes[up_index - ss.link_base];
+  DriverLane& down_lane = ss.lanes[down_index - ss.link_base];
+  restore_sender(up, ck.up);      // the player's outbound link rewinds...
+  restore_sender(down, ck.down);  // ...and the coordinator rewinds its link to match
   restore_receiver(down, ck.down);
   up.src_down = false;
   down.dst_down = false;
@@ -712,12 +771,12 @@ void SharedServicer::recover_player_locked(Shard& sh, std::size_t up_index,
   down.down_deadline_us = 0;
   append_control_frame(up, make_resume_frame(up.src, up.dst, up.ctrl_seq++, checkpoint_bytes));
   // Deterministic replay: re-seal the logged charges through the same
-  // coalescing path that sealed them the first time. The logs are NOT
-  // re-appended (seal_charge never touches them) and NOT cleared — a second
-  // death in the same phase replays the same, still-growing log.
-  ss.replayed += up.charge_log.size() + down.charge_log.size();
-  for (const ChargeRec& rec : up.charge_log) seal_charge(up, rec.phase, rec.bits);
-  for (const ChargeRec& rec : down.charge_log) seal_charge(down, rec.phase, rec.bits);
+  // coalescing body that sealed them the first time. The logs are NOT
+  // re-appended (coalesce_charge never touches them) and NOT cleared — a
+  // second death in the same phase replays the same, still-growing log.
+  ss.replayed += up_lane.charge_log.size() + down_lane.charge_log.size();
+  replay_lane_locked(up, up_lane);
+  replay_lane_locked(down, down_lane);
   sh.work_cv.notify_one();
 }
 

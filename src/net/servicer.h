@@ -38,9 +38,14 @@
 /// num_shards, or the explicit SessionOptions::shard_affinity hint), and
 /// all 2k of its links live there — so per-session determinism,
 /// phase-barrier flushing and crash/replay logic are untouched by sharding.
-/// There is one engine at every shard count: every charge seals under its
-/// shard's mutex, and the driver's program order is the per-link charge
-/// order, so the frame stream is a pure function of the charge stream.
+/// There is one engine at every shard count. A session has one driving
+/// thread, which owns the session's open batches, charge logs, crash counts
+/// and phase cursor (SessionState's driver-owned half): a charge coalesces
+/// without the shard's mutex and takes it only to seal a frame, cross a
+/// phase barrier, crash a player or report a failure. Sequence numbers are
+/// still assigned, and frames built and queued, under the mutex, and the
+/// driver's program order is the per-link charge order, so the frame stream
+/// is a pure function of the charge stream.
 ///
 /// ## Virtual-clock mode (Options::virtual_clock, in-proc only)
 ///
@@ -61,11 +66,11 @@
 ///
 /// ## Sessions
 ///
-/// A *session* (net/session.h) is a value-type row in its shard's table:
-/// open_session registers 2k links for k players (up then down, the same
-/// intra-session link-id numbering as a solo run); session_charge seals a
-/// charge (with the per-session phase barrier and crash controller folded
-/// in), session_relay seals a Section 2 relay frame that the servicer
+/// A *session* (net/session.h) is a row in its shard's table: open_session
+/// registers 2k links for k players (up then down, the same intra-session
+/// link-id numbering as a solo run); session_charge coalesces a charge (with
+/// the per-session phase barrier and crash controller folded in),
+/// session_relay seals a Section 2 relay frame that the servicer
 /// forwards to the recipient's down link, session_flush is the phase
 /// barrier, and close_session drains, folds that session's WireStats and
 /// retires its links. Failures with link context (timeout, overrun,
@@ -140,12 +145,26 @@ class SharedServicer {
   /// num_shards = 1).
   std::size_t open_session(Transport& transport, const SessionOptions& so);
 
-  /// Runs the session's phase barrier when `phase` changes, evaluates its
-  /// crash schedule, seals the charge onto the addressed link and applies
-  /// backpressure, all under the session's shard lock. Throws the session's
-  /// typed error if it failed.
+  /// The session's table row, looked up under its shard lock. Rows never
+  /// move and live as long as the servicer, so a driver resolves its row
+  /// once (SessionSink and NetSession do so at construction) and charges
+  /// through it.
+  [[nodiscard]] SessionState& session_row(std::size_t session);
+
+  /// session_charge on the row session_row(session) names.
   void session_charge(std::size_t session, std::size_t player, bool upstream,
                       std::uint64_t bits, std::uint64_t phase);
+
+  /// One charge, on the session's driving thread: runs the phase barrier
+  /// when `phase` changes, counts the charge against the crash schedule,
+  /// logs it (crash tolerance) and adds it to the addressed link's open
+  /// batch by the coalescing rule. The shard lock is taken only when the
+  /// charge seals a frame (which then waits for queue space), crosses a
+  /// phase barrier or hits a scheduled crash; a charge that only grows an
+  /// open batch runs without it. Throws the session's typed error if it
+  /// failed, and kClosed after close_session.
+  void session_charge(SessionState& ss, std::size_t player, bool upstream, std::uint64_t bits,
+                      std::uint64_t phase);
 
   /// The Section 2 relay: seal one kRelay frame (fixed-width recipient id +
   /// `bits` of message filler) on `player`'s up link, with session_charge's
@@ -202,20 +221,26 @@ class SharedServicer {
   [[nodiscard]] bool earliest_deadline(const Shard& sh, std::uint64_t& out) const noexcept;
   void check_down(Shard& sh, std::uint64_t now_us);
   void wait_for_space(Shard& sh, std::unique_lock<std::mutex>& lock, LinkState& link);
-  SessionState& enter_session_locked(Shard& sh, std::size_t local, std::size_t player);
+  /// Throws the shard's or the session's error, kClosed, or kProtocol for a
+  /// player outside [0, k).
+  void enter_session_locked(const Shard& sh, const SessionState& ss, std::size_t player) const;
   /// Seal the session's open batches and wait, counted as a blocked
   /// driver, until its links drain or it or the shard fails.
   void drain_session_locked(Shard& sh, std::unique_lock<std::mutex>& lock, SessionState& ss);
   void session_barrier_locked(Shard& sh, std::unique_lock<std::mutex>& lock, SessionState& ss);
   void refresh_session_checkpoints_locked(Shard& sh, SessionState& ss);
-  void maybe_crash_locked(Shard& sh, SessionState& ss, std::size_t player, std::uint64_t phase);
+  /// Count the charge at its (player, phase) position and, at the crash
+  /// schedule's offset, take the lock and crash (and maybe recover) the
+  /// player.
+  void maybe_crash(Shard& sh, std::unique_lock<std::mutex>& lock, SessionState& ss,
+                   std::size_t player, std::uint64_t phase);
   /// Kill `player` between two charges: its up link stops sending, its down
   /// link stops receiving and fences its ack epoch, and a kPlayerDown frame
   /// goes out on the down link.
   void crash_player_locked(Shard& sh, std::size_t up_index, std::size_t down_index,
                            std::uint32_t player, std::uint64_t phase);
   /// Resurrect a crashed player from its barrier checkpoint: rewind both
-  /// lanes, send kResume on the up link and replay the charge logs. Throws
+  /// links, send kResume on the up link and replay the charge logs. Throws
   /// NetError(kProtocol) when the replay would alias sequence numbers.
   void recover_player_locked(Shard& sh, std::size_t up_index, std::size_t down_index,
                              const PlayerCheckpoint& ck,
@@ -230,9 +255,11 @@ class SharedServicer {
   void handle_data_frame(Shard& sh, LinkState& link, Frame f);
   void handle_control_frame(LinkState& link, const Frame& f);
   void accept_frame(Shard& sh, LinkState& link, const Frame& f);
-  void seal_open_batch(LinkState& link);
   void seal_data_frame(LinkState& link, std::uint64_t phase, std::uint64_t bits);
-  void seal_charge(LinkState& link, std::uint64_t phase, std::uint64_t bits);
+  /// Number and queue one closed batch as the link's next frame.
+  void seal_batch_locked(LinkState& link, const std::vector<ChargeRec>& batch);
+  /// Drop the lane's open batch and re-seal its charge log.
+  void replay_lane_locked(LinkState& link, DriverLane& lane);
   void append_control_frame(LinkState& link, const Frame& f);
   void restore_sender(LinkState& link, const LinkCheckpoint& ck);
   void restore_receiver(LinkState& link, const LinkCheckpoint& ck);
@@ -262,19 +289,20 @@ class SharedServicer {
 /// with transport ownership and lifecycle folded in.
 class SessionSink final : public ChannelSink {
  public:
-  SessionSink(SharedServicer* servicer, std::size_t session) noexcept
-      : servicer_(servicer), session_(session) {}
+  /// Resolves the session's row once, under its shard lock.
+  SessionSink(SharedServicer* servicer, std::size_t session)
+      : servicer_(servicer), session_(session), row_(&servicer->session_row(session)) {}
 
   void on_charge(std::size_t player, Direction dir, std::uint64_t bits,
                  std::uint64_t phase) override {
-    servicer_->session_charge(session_, player, dir == Direction::kPlayerToCoordinator, bits,
-                              phase);
+    servicer_->session_charge(*row_, player, dir == Direction::kPlayerToCoordinator, bits, phase);
   }
   void on_flush() override { servicer_->session_flush(session_); }
 
  private:
   SharedServicer* servicer_;
   std::size_t session_;
+  SessionState* row_;
 };
 
 }  // namespace tft::net

@@ -3,11 +3,16 @@
 // fault fates and failure domain. Covers the service-runtime invariants the
 // coordinator builds on: per-session exactness under concurrency, byte
 // parity with a solo run, failure containment (no head-of-line blocking
-// across sessions), and link-slot reclamation at close.
+// across sessions), link-slot reclamation at close, the typed errors a
+// driver sees on a charge after failure or close, and a destructor that
+// abandons an open session.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -368,6 +373,94 @@ TEST(NetMultiSession, DuplicateOpenSessionIdIsTypedAndFreedAtClose) {
   const std::size_t revived = servicer.open_session(transport, doomed);
   EXPECT_EQ(drive_session(servicer, revived, 5).payload_bits(), expected_payload_bits(5));
   servicer.finish();
+}
+
+TEST(NetMultiSession, ChargeAfterCloseIsTypedClosed) {
+  InProcTransport transport;
+  SharedServicer servicer(vclock_options());
+  servicer.start();
+  SharedServicer::SessionOptions so;
+  so.num_players = 2;
+  so.session_id = 1;
+  const std::size_t sidx = servicer.open_session(transport, so);
+  servicer.session_charge(sidx, /*player=*/0, /*upstream=*/true, 3, /*phase=*/0);
+  (void)servicer.close_session(sidx);
+  try {
+    servicer.session_charge(sidx, /*player=*/1, /*upstream=*/false, 1, /*phase=*/0);
+    ADD_FAILURE() << "a charge after close_session must throw";
+  } catch (const NetError& e) {
+    EXPECT_EQ(e.kind(), NetErrorKind::kClosed);
+  }
+  servicer.finish();
+  servicer.rethrow_error();
+}
+
+TEST(NetMultiSession, FailedSessionThrowsOnAChargeThatOnlyOpensABatch) {
+  // A coalescing session whose every frame is dropped fails at its flush.
+  // Its next charge, one bit that on its own would only open a batch and
+  // seal nothing, must still throw the session's typed error.
+  InProcTransport transport;
+  SharedServicer::Options opts = vclock_options();
+  opts.retry.max_retries = 2;
+  SharedServicer servicer(opts);
+  servicer.start();
+  SharedServicer::SessionOptions so;
+  so.num_players = 2;
+  so.session_id = 1;
+  FaultPlan black_hole;
+  black_hole.seed = 3;
+  black_hole.drop = 1.0;
+  so.faults = black_hole;
+  const std::size_t sidx = servicer.open_session(transport, so);
+  const auto expect_timeout = [](const auto& act) {
+    try {
+      act();
+      ADD_FAILURE() << "a session whose frames all drop must fail typed";
+    } catch (const NetError& e) {
+      EXPECT_EQ(e.kind(), NetErrorKind::kTimeout);
+    }
+  };
+  servicer.session_charge(sidx, /*player=*/0, /*upstream=*/true, 5, /*phase=*/0);
+  expect_timeout([&] { servicer.session_flush(sidx); });
+  expect_timeout(
+      [&] { servicer.session_charge(sidx, /*player=*/1, /*upstream=*/true, 1, /*phase=*/0); });
+  (void)servicer.close_session(sidx);
+  servicer.finish();
+  servicer.rethrow_error();  // the failure stayed with its session
+}
+
+TEST(NetMultiSession, DestructorAbandonsASessionWithAnOpenBatch) {
+  // The destructor stops and joins without draining, even while a session
+  // left open holds a charge in an unsealed batch. The destruction runs on
+  // a thread of its own under a fuse, so a hang fails the test instead of
+  // wedging the suite: on a timeout that thread, and the servicer it owns,
+  // are left behind.
+  struct Rig {
+    InProcTransport transport;
+    std::unique_ptr<SharedServicer> servicer;
+  };
+  auto rig = std::make_unique<Rig>();
+  rig->servicer = std::make_unique<SharedServicer>(SharedServicer::Options{});
+  rig->servicer->start();
+  SharedServicer::SessionOptions so;
+  so.num_players = 2;
+  so.session_id = 1;
+  const std::size_t sidx = rig->servicer->open_session(rig->transport, so);
+  rig->servicer->session_charge(sidx, /*player=*/0, /*upstream=*/true, 3, /*phase=*/0);
+
+  auto destroyed = std::make_shared<std::promise<void>>();
+  std::future<void> done = destroyed->get_future();
+  std::thread destroyer([rig = std::move(rig), destroyed]() mutable {
+    rig.reset();
+    destroyed->set_value();
+  });
+  const bool returned = done.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  if (returned) {
+    destroyer.join();
+  } else {
+    destroyer.detach();
+  }
+  EXPECT_TRUE(returned) << "~SharedServicer did not return within 5 s";
 }
 
 }  // namespace
