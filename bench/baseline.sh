@@ -31,7 +31,6 @@ run() {
 }
 
 run counting --trials=3
-run kernels --n=2000 --trials=1
 run oneway_lb --side_max=1024
 run sim_lb --side_max=1024
 run bm_lb --pairs_max=4096
@@ -77,7 +76,7 @@ run service --n=400 --iters=2 --sweep=0 --shard_rows=1
 # host-independent either way — a non-AVX2 host resolves the avx2/bitset
 # strategies to their scalar fallbacks, which are bit-identical by the
 # dispatch contract (the bench hard-fails if they are not).
-run kernels --n=2000 --trials=1 --kernel=scalar --kernel_rows=1 --sweep=0
+run kernels --n=2000 --trials=1 --kernel=scalar --kernel_rows=1
 
 # Charge contention: chatty-shaped sessions charged by 1 and 4 driving
 # threads into one real-clock shard. The counts (sessions, charges, charged

@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
         sweep.chunked()
             ? make_chunked_trial(sweep, pairs, 100 + pairs, instances)
             : make_trial(sweep, static_cast<std::uint32_t>(pairs), 100 + pairs, instances);
-    const auto result = find_min_budget(trial, sweep.tune(opts));
+    const auto result = find_min_budget(trial, opts);
     if (!result.found) {
       std::printf("  pairs=%-8llu NO passing budget found\n",
                   static_cast<unsigned long long>(pairs));

@@ -19,9 +19,7 @@
 //   --kernel=auto|scalar|avx2|bitset  strategy for the family benches
 //                                     (default auto; baseline runs pin
 //                                     scalar for host-independence)
-//   --kernel_rows=0|1   emit kernel/kernel_identity JSON rows (default 0,
-//                       so pre-existing baseline invocations are unchanged)
-//   --sweep=0|1         run the sweep-layer microbench (default 1)
+//   --kernel_rows=0|1   emit kernel/kernel_identity JSON rows (default 0)
 // The variant A/B section always runs: like the chunked `chunk_identity`
 // rows, a scalar/AVX2/bitset output mismatch is a hard failure (exit 1),
 // not a report.
@@ -29,20 +27,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <iterator>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
-#include "core/oneway_vee.h"
 #include "graph/generators.h"
 #include "graph/intersect.h"
 #include "graph/triangles.h"
-#include "lower_bounds/budget_search.h"
 #include "runner.h"
-#include "sweep_instances.h"
 #include "util/flags.h"
 #include "util/rng.h"
 
@@ -97,58 +90,15 @@ void bench_family(const char* name, const Graph& g, int trials) {
               {"packing", static_cast<double>(pack)}});
 }
 
-/// One sweep-layer configuration for the A/B microbench below.
-struct SweepConfig {
-  const char* name;
-  bool cache;
-  bool memo;
-  bool monotone;
-  bool early;
-};
-
-/// A fixed seeded min-budget search (one-way vee on mu, side=512) under one
-/// configuration of the sweep-layer switches. Returns wall seconds.
-double run_sweep(const bench::SweepContext& sweep, const SweepConfig& cfg,
-                 BudgetSearchResult* out) {
-  set_instance_caching(cfg.cache);
-  InstanceCache::global().clear();
-  constexpr Vertex kSide = 512;
-  constexpr std::uint64_t kSeed = 0x5EED;
-  constexpr std::size_t kInstances = 8;
-  const BudgetTrial trial = [&sweep](std::uint64_t budget, std::uint64_t trial_index) {
-    const auto inst =
-        bench::mu_sweep_instance(sweep, kSide, 0.9, kSeed, trial_index % kInstances);
-    OneWayOptions o;
-    o.seed = 0xABC0 + trial_index;
-    o.hubs = 4;
-    o.budget_edges_per_player = budget;
-    return oneway_vee_find_edge(inst->players, inst->mu.layout, o).triangle_edge.has_value();
-  };
-  BudgetSearchOptions opts;
-  opts.target_success = 0.8;
-  opts.trials_per_budget = 30;
-  opts.budget_lo = 4;
-  opts.budget_hi = 1ULL << 24;
-  opts.refine_steps = 5;
-  opts.memoize_budgets = cfg.memo;
-  opts.monotone_reuse = cfg.monotone;
-  opts.early_stop = cfg.early;
-  const double t0 = now_s();
-  *out = find_min_budget(trial, opts);
-  return now_s() - t0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   bench::configure_threads(flags);
-  const bench::SweepContext sweep(flags);
   bench::JsonRows json(flags, "kernels");
   const Vertex n = static_cast<Vertex>(flags.get_int("n", 100000));
   const int trials = static_cast<int>(flags.get_int("trials", 3));
   const bool kernel_rows = flags.get_bool("kernel_rows", false);
-  const bool run_sweep_bench = flags.get_bool("sweep", true);
 
   const std::string kernel_name = flags.get_string("kernel", "auto");
   const auto requested = kernel::variant_from_name(kernel_name);
@@ -295,66 +245,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!run_sweep_bench) return kernel_identical ? 0 : 1;
-
-  // -- sweep-layer microbench (E-SWEEP): the PRs' end-to-end claim --
-  // The same seeded min-budget search under every sweep-layer switch
-  // combination must print identical results (min_budget, probe sequence;
-  // the memo+monotone configuration additionally matches the legacy curve
-  // byte-for-byte) while the all-on configuration runs >= 3x faster than
-  // all-off. A mismatch is a hard failure, not a report.
-  std::printf("\n-- sweep layer: min-budget search, one-way vee on mu(side=512) --\n");
-  {
-    const SweepConfig configs[] = {
-        {"all_off", false, false, false, false},
-        {"cache_only", true, false, false, false},
-        {"memo_monotone", false, true, true, false},
-        {"all_on", true, true, true, true},
-    };
-    BudgetSearchResult baseline;
-    double baseline_s = 0.0;
-    double all_on_s = 0.0;
-    bool identical = true;
-    for (std::size_t c = 0; c < std::size(configs); ++c) {
-      const SweepConfig& cfg = configs[c];
-      BudgetSearchResult r;
-      const double secs = run_sweep(sweep, cfg, &r);
-      if (c == 0) {
-        baseline = r;
-        baseline_s = secs;
-      }
-      if (std::string_view(cfg.name) == "all_on") all_on_s = secs;
-      bool match = r.found == baseline.found && r.min_budget == baseline.min_budget &&
-                   r.curve.size() == baseline.curve.size();
-      for (std::size_t i = 0; match && i < r.curve.size(); ++i) {
-        match = r.curve[i].budget == baseline.curve[i].budget;
-        // Early stopping may leave success counts partial; every other
-        // configuration must reproduce them exactly.
-        if (std::string_view(cfg.name) != "all_on") {
-          match = match && r.curve[i].success.successes == baseline.curve[i].success.successes &&
-                  r.curve[i].success.trials == baseline.curve[i].success.trials;
-        }
-      }
-      identical = identical && match;
-      bench::row({{"config_" + std::string(cfg.name), 1.0},
-                  {"seconds", secs},
-                  {"min_budget", static_cast<double>(r.min_budget)},
-                  {"trials_run", static_cast<double>(r.trials_run)},
-                  {"speedup", baseline_s / secs},
-                  {"identical", match ? 1.0 : 0.0}});
-      json.row("sweep", {{"config", cfg.name},
-                         {"min_budget", r.min_budget},
-                         {"trials_run", r.trials_run},
-                         {"identical", match}});
-    }
-    // Restore the flag-selected switches for any code running after us.
-    set_instance_caching(flags.get_bool("cache", true));
-    const double speedup = baseline_s / all_on_s;
-    std::printf("sweep speedup (all_on vs all_off): %.1fx  [floor: 3.0x]\n", speedup);
-    if (!identical) {
-      std::fprintf(stderr, "FAIL: sweep-layer configurations disagree on search results\n");
-      return 1;
-    }
-  }
   return 0;
 }

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     opts.budget_hi = 1ULL << 24;
     opts.refine_steps = 5;
     const auto result =
-        find_min_budget(make_trial(sweep, side, gamma, 1000 + side, instances), sweep.tune(opts));
+        find_min_budget(make_trial(sweep, side, gamma, 1000 + side, instances), opts);
     if (!result.found) {
       std::printf("  side=%-8u NO passing budget found\n", side);
       continue;
@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
     // opts.curve_budgets rides on the search's evaluator, so grid points the
     // doubling phase already resolved in full are memo hits and the rest
     // reuse per-trial monotone verdicts. Curve points always report all 30
-    // trials (never early-stopped), so these rows are byte-identical across
-    // every --adaptive / --cache / --threads setting.
+    // trials (never early-stopped), so these rows are byte-identical at any
+    // --threads or --cache_mb setting.
     BudgetSearchOptions opts;
     opts.target_success = 0.8;
     opts.trials_per_budget = trials_per_budget;
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
     opts.refine_steps = 5;
     for (std::uint64_t b = 2; b <= 512; b *= 2) opts.curve_budgets.push_back(b);
     const auto result =
-        find_min_budget(make_trial(sweep, 4096, gamma, 77, instances), sweep.tune(opts));
+        find_min_budget(make_trial(sweep, 4096, gamma, 77, instances), opts);
     if (result.found) {
       bench::row({{"threshold_min_budget", static_cast<double>(result.min_budget)}});
       json.row("curve_min_budget", {{"min_budget_edges", result.min_budget}});

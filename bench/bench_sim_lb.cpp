@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     opts.budget_hi = 1ULL << 26;
     opts.refine_steps = 5;
     const auto result = find_min_budget(
-        make_trial(sweep, side, gamma, 2000 + side, instances, 0.3), sweep.tune(opts));
+        make_trial(sweep, side, gamma, 2000 + side, instances, 0.3), opts);
     if (!result.found) {
       std::printf("  side=%-8u NO passing budget found\n", side);
       continue;
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     opts.budget_lo = 4;
     opts.budget_hi = 1ULL << 26;
     const auto sim = find_min_budget(
-        make_trial(sweep, side, gamma, 3000 + side, instances, 0.3), sweep.tune(opts));
+        make_trial(sweep, side, gamma, 3000 + side, instances, 0.3), opts);
     bench::row({{"side", static_cast<double>(side)},
                 {"sim_min_budget", static_cast<double>(sim.min_budget)},
                 {"side^0.5", std::sqrt(static_cast<double>(side))},

@@ -13,7 +13,6 @@
 
 #include "comm/conformance.h"
 #include "graph/instance_cache.h"
-#include "lower_bounds/budget_search.h"
 #include "util/flags.h"
 #include "util/parallel.h"
 #include "util/mem.h"
@@ -49,47 +48,31 @@ inline void configure_threads(const Flags& flags) {
   set_conformance_checking(flags.get_bool("conformance", true));
 }
 
-/// Sweep-layer wiring shared by the budget-driven benches: installs the
-/// instance cache and adaptive budget search behind bench flags so either
-/// layer can be A/B'd off without rebuilding:
-///   --cache=0|1     instance cache on/off          (default 1)
-///   --adaptive=0|1  adaptive budget search on/off  (default 1)
+/// Sweep-layer wiring shared by the budget-driven benches: sizes and resets
+/// the global instance cache and selects the instance stream:
 ///   --cache_mb=N    instance cache byte budget     (default 256 MiB)
 ///   --chunked=0|1   chunked instance generation    (default 0)
 ///   --chunks=K      chunk count when --chunked     (default 8)
-/// Every switch preserves printed bits/min-budget bytes (the determinism
-/// contract in EXPERIMENTS.md "Sweep methodology"); only the wall-clock
-/// columns move. `--chunked` additionally swaps the sampled instance stream
-/// (graph/chunked.h) — chunked rows are self-consistent at any --chunks but
-/// are a different draw than the legacy monolithic rows. Construct once in
-/// main(), after configure_threads.
+/// The cache budget only moves the wall-clock and memory columns: a hit, an
+/// eviction's rebuild and a fresh build are the same instance (the
+/// determinism contract in EXPERIMENTS.md "Sweep methodology").
+/// `--chunked` swaps the sampled instance stream (graph/chunked.h) —
+/// chunked rows are self-consistent at any --chunks but are a different
+/// draw than the legacy monolithic rows. Construct once in main(), after
+/// configure_threads.
 class SweepContext {
  public:
   explicit SweepContext(const Flags& flags)
-      : adaptive_(flags.get_bool("adaptive", true)),
-        chunked_(flags.get_bool("chunked", false)),
+      : chunked_(flags.get_bool("chunked", false)),
         chunks_(static_cast<std::uint64_t>(flags.get_int("chunks", 8))) {
-    set_instance_caching(flags.get_bool("cache", true));
     auto& cache = InstanceCache::global();
     cache.set_byte_budget(static_cast<std::size_t>(flags.get_int("cache_mb", 256)) << 20);
     cache.clear();
     cache.reset_stats();
   }
 
-  [[nodiscard]] bool adaptive() const noexcept { return adaptive_; }
   [[nodiscard]] bool chunked() const noexcept { return chunked_; }
   [[nodiscard]] std::uint64_t chunks() const noexcept { return chunks_ > 0 ? chunks_ : 1; }
-
-  /// Applies the --adaptive switch: with it off, every search falls back to
-  /// the legacy exhaustive evaluation for A/B runs.
-  [[nodiscard]] BudgetSearchOptions tune(BudgetSearchOptions opts) const {
-    if (!adaptive_) {
-      opts.memoize_budgets = false;
-      opts.monotone_reuse = false;
-      opts.early_stop = false;
-    }
-    return opts;
-  }
 
   /// Keyed fetch from the global instance cache. `generator` tags the
   /// builder (unique per bench + instance type); build() must be a pure
@@ -117,7 +100,6 @@ class SweepContext {
   }
 
  private:
-  bool adaptive_ = true;
   bool chunked_ = false;
   std::uint64_t chunks_ = 8;
 };

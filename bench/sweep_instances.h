@@ -21,7 +21,7 @@
 ///
 /// Builders derive all randomness from the key (`derive_rng(seed, idx)`),
 /// satisfying the instance cache's purity contract, so sweeps print
-/// byte-identical results with `--cache=0|1`.
+/// byte-identical results whatever `--cache_mb` evicts.
 
 namespace tft::bench {
 

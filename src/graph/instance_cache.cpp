@@ -4,14 +4,6 @@
 
 namespace tft {
 
-namespace {
-std::atomic<bool> g_caching{true};
-}  // namespace
-
-void set_instance_caching(bool on) noexcept { g_caching.store(on, std::memory_order_relaxed); }
-
-bool instance_caching() noexcept { return g_caching.load(std::memory_order_relaxed); }
-
 std::shared_ptr<const void> InstanceCache::lookup(const InstanceKey& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);

@@ -30,9 +30,9 @@
 /// Determinism contract: the cached value is required to be a pure function
 /// of its key (the builder must derive all randomness from the key, e.g. via
 /// `derive_rng(key.seed, key.trial_index)`). Then a hit, a rebuild after
-/// eviction, and a cache-off build are indistinguishable, so every sweep
-/// output is byte-identical with the cache on or off, at any thread count
-/// (tests/test_sweep.cpp locks this in).
+/// eviction, and a direct call of the builder are indistinguishable, so
+/// every sweep output is the same whatever the byte budget evicts, at any
+/// thread count (tests/test_sweep.cpp locks this in).
 
 namespace tft {
 
@@ -83,11 +83,6 @@ template <typename T>
   return total;
 }
 
-/// Global cache switch, default on; `--cache=0` in the bench harness flips
-/// it for A/B runs. Off means get_or_build always invokes the builder.
-void set_instance_caching(bool on) noexcept;
-[[nodiscard]] bool instance_caching() noexcept;
-
 class InstanceCache {
  public:
   /// `byte_budget` bounds the summed approx_bytes of retained entries;
@@ -103,10 +98,6 @@ class InstanceCache {
   [[nodiscard]] std::shared_ptr<const T> get_or_build(const InstanceKey& key, Build&& build) {
     static_assert(std::is_same_v<std::decay_t<std::invoke_result_t<Build&>>, T>,
                   "build() must return the cached payload type");
-    if (!instance_caching()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return std::make_shared<const T>(build());
-    }
     if (auto hit = lookup(key)) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return std::static_pointer_cast<const T>(std::move(hit));
@@ -123,7 +114,7 @@ class InstanceCache {
 
   struct Stats {
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0;  ///< builds (including cache-off builds)
+    std::uint64_t misses = 0;  ///< builds
     std::uint64_t evictions = 0;
     std::size_t entries = 0;
     std::size_t bytes = 0;  ///< summed approx_bytes of retained entries

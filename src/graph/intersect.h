@@ -40,6 +40,10 @@
 ///     BENCH_baseline.json stays host-independent.
 ///   * kAvx2   — same mark-scratch structure, AVX2 gather/compare inner
 ///     loops. Resolves to kScalar when AVX2 is absent or compiled out.
+///     kAuto never picks it, but its byte-mark count beats kBitset's while
+///     the byte marks stay cache-resident (gnp at n = 2e4: 29 vs 32 ms on a
+///     4-core x86 host; see EXPERIMENTS.md "E-KERNELS-SIMD"), so it stays
+///     selectable.
 ///   * kBitset — bit-packed bitmap rows (1 bit/vertex: L1-resident at
 ///     n = 1e5 vs 100 KB of byte marks) probed 8 lanes at a time, plus
 ///     cache-blocked column tiling at large n so the hot slice stays

@@ -1,6 +1,7 @@
 #include "lower_bounds/budget_search.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "util/parallel.h"
@@ -9,9 +10,9 @@ namespace tft {
 
 namespace {
 
-/// Smallest success count whose rate passes the target, under exactly the
-/// comparison the legacy search used (`SuccessRate::rate() >= target` in
-/// double precision). May return trials + 1: the target is unreachable.
+/// Smallest success count whose rate passes the target, under the exhaustive
+/// evaluation's comparison (`SuccessRate::rate() >= target` in double
+/// precision). May return trials + 1: the target is unreachable.
 std::size_t needed_successes(double target, std::size_t trials) {
   for (std::size_t s = 0; s <= trials; ++s) {
     SuccessRate sr;
@@ -43,38 +44,24 @@ class BudgetEvaluator {
         pass_at_(opts.trials_per_budget, UINT64_MAX),
         fail_at_(opts.trials_per_budget, 0) {}
 
-  Eval evaluate(std::uint64_t budget) {
-    if (opts_.memoize_budgets) {
-      const auto it = memo_.find(budget);
-      if (it != memo_.end()) {
-        ++result_.memo_hits;
-        return it->second;
-      }
+  /// A search probe may stop early once its decision is forced. A curve
+  /// point (`full`) always reports every trial: a memoized probe is reused
+  /// only when it resolved every trial (early stopping stores partial
+  /// counts, which must not masquerade as a full curve point), and a fresh
+  /// run does not stop early.
+  Eval evaluate(std::uint64_t budget, bool full) {
+    const auto it = memo_.find(budget);
+    if (it != memo_.end() && (!full || it->second.rate.trials == opts_.trials_per_budget)) {
+      ++result_.memo_hits;
+      return it->second;
     }
-    const Eval e = run_budget(budget, /*allow_early_stop=*/true);
-    if (opts_.memoize_budgets) memo_.emplace(budget, e);
-    return e;
-  }
-
-  /// Curve-point evaluation: always reports the full trial count. A memoized
-  /// search probe is reused only when it resolved every trial (early
-  /// stopping stores partial counts, which must not masquerade as a full
-  /// curve point); a fresh run suppresses early stopping.
-  Eval evaluate_full(std::uint64_t budget) {
-    if (opts_.memoize_budgets) {
-      const auto it = memo_.find(budget);
-      if (it != memo_.end() && it->second.rate.trials == opts_.trials_per_budget) {
-        ++result_.memo_hits;
-        return it->second;
-      }
-    }
-    const Eval e = run_budget(budget, /*allow_early_stop=*/false);
-    if (opts_.memoize_budgets) memo_[budget] = e;  // full eval supersedes partial
+    const Eval e = run_budget(budget, /*may_stop_early=*/!full);
+    memo_[budget] = e;  // a full evaluation supersedes a partial one
     return e;
   }
 
  private:
-  Eval run_budget(std::uint64_t budget, bool allow_early_stop) {
+  Eval run_budget(std::uint64_t budget, bool may_stop_early) {
     const std::size_t total = opts_.trials_per_budget;
 
     // Resolve what monotonicity already knows, collect the rest to run.
@@ -83,9 +70,9 @@ class BudgetEvaluator {
     std::vector<std::uint32_t> to_run;
     to_run.reserve(total);
     for (std::size_t t = 0; t < total; ++t) {
-      if (opts_.monotone_reuse && pass_at_[t] <= budget) {
+      if (pass_at_[t] <= budget) {
         ++inferred_pass;
-      } else if (opts_.monotone_reuse && fail_at_[t] >= budget) {
+      } else if (fail_at_[t] >= budget) {
         ++inferred_fail;
       } else {
         to_run.push_back(static_cast<std::uint32_t>(t));
@@ -97,8 +84,7 @@ class BudgetEvaluator {
     // index at which a decision could become forced; chunk boundaries
     // depend only on success counts, never on thread count or timing, so
     // the set of trials run (and hence every downstream byte) is
-    // deterministic. Without early stopping this is a single chunk and
-    // matches the seed implementation's one parallel_for.
+    // deterministic. A curve point runs everything left as one chunk.
     std::vector<std::uint8_t> ok(to_run.size(), 0);
     std::size_t run_successes = 0;
     std::size_t ran = 0;
@@ -106,7 +92,7 @@ class BudgetEvaluator {
       const std::size_t successes = inferred_pass + run_successes;
       const std::size_t remaining = to_run.size() - ran;
       std::size_t chunk = remaining;
-      if (opts_.early_stop && allow_early_stop) {
+      if (may_stop_early) {
         if (successes >= needed_) break;                // pass already forced
         if (successes + remaining < needed_) break;     // fail already forced
         const std::size_t to_pass = needed_ - successes;
@@ -127,14 +113,12 @@ class BudgetEvaluator {
     result_.trials_skipped += to_run.size() - ran;
 
     // Fold the fresh verdicts into the monotone state.
-    if (opts_.monotone_reuse) {
-      for (std::size_t i = 0; i < ran; ++i) {
-        const std::uint32_t t = to_run[i];
-        if (ok[i]) {
-          pass_at_[t] = std::min(pass_at_[t], budget);
-        } else {
-          fail_at_[t] = std::max(fail_at_[t], budget);
-        }
+    for (std::size_t i = 0; i < ran; ++i) {
+      const std::uint32_t t = to_run[i];
+      if (ok[i]) {
+        pass_at_[t] = std::min(pass_at_[t], budget);
+      } else {
+        fail_at_[t] = std::max(fail_at_[t], budget);
       }
     }
 
@@ -150,13 +134,22 @@ class BudgetEvaluator {
   BudgetSearchResult& result_;
   const std::size_t needed_;
   std::vector<std::uint64_t> pass_at_;  ///< per trial: min budget known to pass
-  std::vector<std::uint64_t> fail_at_;  ///< per trial: max budget known to fail
+  /// Per trial: max budget known to fail. 0 means none, since budgets are
+  /// at least 1.
+  std::vector<std::uint64_t> fail_at_;
   std::unordered_map<std::uint64_t, Eval> memo_;
 };
 
 }  // namespace
 
 BudgetSearchResult find_min_budget(const BudgetTrial& trial, const BudgetSearchOptions& opts) {
+  // The monotone state reads fail_at_[t] = 0 as "no failing budget known",
+  // so a budget of 0 would be inferred to fail without a run (and doubling
+  // from 0 would never leave 0).
+  if (opts.budget_lo == 0 ||
+      std::ranges::find(opts.curve_budgets, std::uint64_t{0}) != opts.curve_budgets.end()) {
+    throw std::invalid_argument("find_min_budget: budgets start at 1");
+  }
   BudgetSearchResult result;
   BudgetEvaluator eval(trial, opts, result);
 
@@ -164,7 +157,7 @@ BudgetSearchResult find_min_budget(const BudgetTrial& trial, const BudgetSearchO
   std::uint64_t lo = 0;  // highest known-failing budget
   std::uint64_t hi = 0;  // lowest known-passing budget
   for (std::uint64_t b = opts.budget_lo; b <= opts.budget_hi; b *= 2) {
-    const auto e = eval.evaluate(b);
+    const auto e = eval.evaluate(b, /*full=*/false);
     result.curve.push_back({b, e.rate});
     if (e.pass) {
       hi = b;
@@ -177,7 +170,7 @@ BudgetSearchResult find_min_budget(const BudgetTrial& trial, const BudgetSearchO
     // Bisection refinement.
     for (std::uint32_t step = 0; step < opts.refine_steps && hi > lo + 1; ++step) {
       const std::uint64_t mid = lo + (hi - lo) / 2;
-      const auto e = eval.evaluate(mid);
+      const auto e = eval.evaluate(mid, /*full=*/false);
       result.curve.push_back({mid, e.rate});
       if (e.pass) {
         hi = mid;
@@ -193,7 +186,7 @@ BudgetSearchResult find_min_budget(const BudgetTrial& trial, const BudgetSearchO
   // points the search already measured in full come from the memo and the
   // rest reuse every monotone-resolved trial verdict.
   for (const std::uint64_t b : opts.curve_budgets) {
-    result.curve.push_back({b, eval.evaluate_full(b).rate});
+    result.curve.push_back({b, eval.evaluate(b, /*full=*/true).rate});
   }
   return result;
 }

@@ -17,12 +17,12 @@
 /// (Section 4: the Theta((nd)^{1/3}) simultaneous and Theta~(n^{1/4})
 /// one-way regimes).
 ///
-/// The search is adaptive by default (see BudgetSearchOptions): duplicate
-/// budget probes are memoized, per-trial verdicts are reused across budgets
-/// via monotonicity, and a budget's trial loop stops as soon as the
-/// pass/fail decision is statistically forced. The determinism contract and
-/// exactly which bytes each switch preserves are spelled out in
-/// EXPERIMENTS.md ("Sweep methodology") and enforced by
+/// The search does each probe's work once: duplicate budget probes are
+/// memoized, per-trial verdicts are reused across budgets via monotonicity,
+/// and a budget's trial loop stops as soon as the trials resolved so far
+/// force its pass/fail decision. What this preserves of the exhaustive
+/// evaluation (every trial at every probe) is spelled out in EXPERIMENTS.md
+/// ("Sweep methodology") and held to its frozen output by
 /// tests/test_sweep.cpp.
 
 namespace tft {
@@ -31,10 +31,10 @@ namespace tft {
 /// determine the run's randomness (instance + protocol seed) so success
 /// rates at different budgets are comparable.
 ///
-/// Monotone reuse additionally assumes the verdict is monotone in the
-/// budget for a fixed trial_index — true for every capped protocol in this
-/// repo, which truncate a shared-permutation-ordered candidate list, so a
-/// larger budget sees a superset of the same candidates.
+/// The search assumes the verdict is monotone in the budget for a fixed
+/// trial_index — true for every capped protocol in this repo, which
+/// truncate a shared-permutation-ordered candidate list, so a larger budget
+/// sees a superset of the same candidates.
 using BudgetTrial = std::function<bool(std::uint64_t budget, std::uint64_t trial_index)>;
 
 struct BudgetCurvePoint {
@@ -47,8 +47,8 @@ struct BudgetSearchResult {
   std::uint64_t min_budget = 0;   ///< smallest passing budget located
   std::vector<BudgetCurvePoint> curve;  ///< every (budget, success) evaluated
 
-  // Work accounting for the adaptive switches. Diagnostics only — A/B
-  // identity is over found/min_budget/curve, never these counters.
+  // Work accounting: how many trials the search ran, and how many it did
+  // not need to. tests/test_sweep.cpp pins them on fixed grids.
   std::uint64_t trials_run = 0;       ///< protocol executions actually performed
   std::uint64_t trials_inferred = 0;  ///< verdicts reused via per-trial monotonicity
   std::uint64_t trials_skipped = 0;   ///< trials left unresolved by early stopping
@@ -58,6 +58,7 @@ struct BudgetSearchResult {
 struct BudgetSearchOptions {
   double target_success = 0.9;
   std::size_t trials_per_budget = 40;
+  /// First doubling probe. Budgets start at 1: find_min_budget rejects 0.
   std::uint64_t budget_lo = 1;
   std::uint64_t budget_hi = 1ULL << 40;
   /// Bisection refinement steps after the doubling phase brackets the
@@ -72,35 +73,12 @@ struct BudgetSearchOptions {
   /// This is how the benches print a success curve without re-running the
   /// budgets the search already measured.
   std::vector<std::uint64_t> curve_budgets;
-
-  // Adaptive-search switches, all default on. Identity guarantees (locked
-  // in by tests/test_sweep.cpp):
-  //   * memoize_budgets — byte-identical result unconditionally (a repeated
-  //     probe reproduces the stored point, which a re-run would equal by
-  //     trial determinism);
-  //   * monotone_reuse  — byte-identical result whenever the trial verdict
-  //     is monotone in the budget (see BudgetTrial);
-  //   * early_stop      — identical decisions, probe sequence, found and
-  //     min_budget unconditionally; curve success counts may be partial
-  //     (each point still reports the trials it resolved, so rates remain
-  //     unbiased estimates of the same quantity).
-  bool memoize_budgets = true;  ///< duplicate probes reuse the stored evaluation
-  bool monotone_reuse = true;   ///< pass at b implies pass at b' >= b (dually for fail)
-  bool early_stop = true;       ///< stop a budget's trials once the decision is forced
-
-  /// The seed implementation, bit-for-bit: every adaptive switch off. Used
-  /// as the A/B baseline by the sweep tests and bench_kernels.
-  [[nodiscard]] static BudgetSearchOptions legacy() {
-    BudgetSearchOptions o;
-    o.memoize_budgets = false;
-    o.monotone_reuse = false;
-    o.early_stop = false;
-    return o;
-  }
 };
 
 /// Doubling from budget_lo until the success target is met, then bisection
-/// between the last failing and first passing budgets.
+/// between the last failing and first passing budgets. Throws
+/// std::invalid_argument, before any trial runs, when budget_lo or a
+/// curve_budgets entry is 0.
 [[nodiscard]] BudgetSearchResult find_min_budget(const BudgetTrial& trial,
                                                  const BudgetSearchOptions& opts);
 
