@@ -70,13 +70,10 @@ run mu_farness --trials=5 --chunked
 # field-for-field identical per-session outcomes (the bench exits 1 if not).
 run service --n=400 --iters=2 --sweep=0 --shard_rows=1
 
-# Kernel variants (PR 9): scalar/AVX2/bitset A/B identity rows from
-# bench_kernels. Pinned to --kernel=scalar so the family benches don't
-# depend on the host ISA; the kernel_identity rows themselves are
-# host-independent either way — a non-AVX2 host resolves the avx2/bitset
-# strategies to their scalar fallbacks, which are bit-identical by the
-# dispatch contract (the bench hard-fails if they are not).
-run kernels --n=2000 --trials=1 --kernel=scalar --kernel_rows=1
+# Triangle kernels: one kernel_outputs row (count, found, packing on gnp at
+# n = 2000). Both primitive tables give the same outputs, so the row is
+# host-independent; CI reproduces it in a -DTFT_DISABLE_AVX2=ON build.
+run kernels --n=2000 --trials=1
 
 # Charge contention: chatty-shaped sessions charged by 1 and 4 driving
 # threads into one real-clock shard. The counts (sessions, charges, charged

@@ -208,5 +208,5 @@ int main(int argc, char** argv) {
                                  {"board_total_bits", board_total.mean()}});
     }
   }
-  return 0;
+  return bench::finish(flags);
 }

@@ -173,5 +173,5 @@ int main(int argc, char** argv) {
     json.row("one_sided", {{"trials", static_cast<std::uint64_t>(50)},
                            {"false_positives", static_cast<std::int64_t>(false_positives)}});
   }
-  return 0;
+  return bench::finish(flags);
 }

@@ -147,5 +147,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   print_bit_cost_table(json);
-  return 0;
+  return bench::finish(flags);
 }

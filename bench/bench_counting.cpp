@@ -73,5 +73,5 @@ int main(int argc, char** argv) {
       "(high wedge count, triangles on few wedges) need the largest\n"
       "reservoirs — the same concentration phenomenon the testing lower\n"
       "bounds exploit.\n");
-  return 0;
+  return bench::finish(flags);
 }

@@ -76,5 +76,5 @@ int main(int argc, char** argv) {
     // the gap itself grows polynomially.
     bench::fit_line("gap vs n", loglog_fit(ns, gaps), 1.125);
   }
-  return 0;
+  return bench::finish(flags);
 }

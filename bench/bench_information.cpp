@@ -102,5 +102,5 @@ int main(int argc, char** argv) {
       "chain the Omega(n^{1/4}) proof quantifies. Finite-sample MI estimates\n"
       "are biased upward for large message spaces; rows with many distinct\n"
       "messages overstate both columns equally.\n");
-  return 0;
+  return bench::finish(flags);
 }

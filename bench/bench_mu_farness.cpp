@@ -62,5 +62,5 @@ int main(int argc, char** argv) {
     packs.push_back(s.mean_packing);
   }
   bench::fit_line("packing vs side", loglog_fit(sides, packs), 1.5);
-  return 0;
+  return bench::finish(flags);
 }

@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
   // — SACK payload sizes depend on interleaving — so they stay out.)
   if (!flags.get_bool("vclock", true)) {
     std::printf("\n-- virtual-clock fault grid skipped (--vclock=0) --\n");
-    return 0;
+    return bench::finish(flags);
   }
   std::printf("\n-- virtual-clock fault grid (inproc, %zu messages per cell) --\n", count);
   for (const double drop : {0.05, 0.2}) {
@@ -298,5 +298,5 @@ int main(int argc, char** argv) {
       "the sliding window amortizing the per-frame handshake the legacy\n"
       "stop-and-wait paid per message; the vclock grid's retransmission\n"
       "counts are deterministic and checked against the committed baseline.\n");
-  return 0;
+  return bench::finish(flags);
 }

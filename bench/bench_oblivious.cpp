@@ -100,5 +100,5 @@ int main(int argc, char** argv) {
       "\nNote: sparse G(n,p) at d = O(1) has few triangles, so both protocols\n"
       "legitimately accept most such samples; the d >= n^{1/4} rows carry the\n"
       "success comparison, and the ratio column carries the cost claim.\n");
-  return 0;
+  return bench::finish(flags);
 }

@@ -141,5 +141,5 @@ int main(int argc, char** argv) {
     bench::row({{"chunk_identity_ok", hk == h1 ? 1.0 : 0.0}});
     json.row("chunk_identity", {{"hash", hk}, {"match", hk == h1}});
   }
-  return 0;
+  return bench::finish(flags);
 }

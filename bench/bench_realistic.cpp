@@ -87,5 +87,5 @@ int main(int argc, char** argv) {
       "\nReading: on hub-concentrated realistic graphs the unrestricted tester\n"
       "stays polylog-sized (it finds the hub bucket early) while exact cost\n"
       "scales with k * m * log n; the oblivious one-round tester sits between.\n");
-  return 0;
+  return bench::finish(flags);
 }

@@ -423,5 +423,5 @@ int main(int argc, char** argv) {
     }
     if (!all_exact) return 1;  // wire bits must equal charged bits, as in every row
   }
-  return 0;
+  return bench::finish(flags);
 }

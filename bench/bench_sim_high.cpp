@@ -98,5 +98,5 @@ int main(int argc, char** argv) {
                      {"bits", static_cast<std::uint64_t>(r.total_bits)},
                      {"found", r.triangle.has_value()}});
   }
-  return 0;
+  return bench::finish(flags);
 }

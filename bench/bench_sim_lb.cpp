@@ -102,5 +102,5 @@ int main(int argc, char** argv) {
     json.row("gap", {{"side", static_cast<std::uint64_t>(side)},
                      {"sim_min_budget", sim.min_budget}});
   }
-  return 0;
+  return bench::finish(flags);
 }

@@ -115,5 +115,5 @@ int main(int argc, char** argv) {
                      {"bits_nodup", static_cast<std::uint64_t>(nodup.total_bits)},
                      {"bits_dup2", static_cast<std::uint64_t>(dup.total_bits)}});
   }
-  return 0;
+  return bench::finish(flags);
 }

@@ -78,5 +78,5 @@ int main(int argc, char** argv) {
       "\nReading: the memory threshold for constant success tracks the one-way\n"
       "communication threshold (bench_oneway_lb) divided by the number of\n"
       "hand-offs, exactly as the Section 4.2.2 reduction predicts.\n");
-  return 0;
+  return bench::finish(flags);
 }

@@ -87,5 +87,5 @@ int main(int argc, char** argv) {
       "\nReading: larger patterns need polynomially larger samples, matching\n"
       "the (s/n)^{|V(H)|} survival argument; the triangle column reproduces\n"
       "AlgHigh as the special case H = K3.\n");
-  return 0;
+  return bench::finish(flags);
 }

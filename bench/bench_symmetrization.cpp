@@ -82,5 +82,5 @@ int main(int argc, char** argv) {
       "\nConsequence (paper): combining the measured 3-player one-way threshold\n"
       "Theta~(n^{1/4}) (bench_oneway_lb) with the 2/k identity above lifts to the\n"
       "k-player simultaneous bound Omega(k (nd)^{1/6}) of Table 1 row 5.\n");
-  return 0;
+  return bench::finish(flags);
 }

@@ -128,5 +128,5 @@ int main(int argc, char** argv) {
     // The k^2 polylog overhead dominates the k-sweep at this n.
     bench::fit_line("bits vs k", loglog_fit(ks, kbits), 2.0);
   }
-  return 0;
+  return bench::finish(flags);
 }

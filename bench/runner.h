@@ -48,6 +48,18 @@ inline void configure_threads(const Flags& flags) {
   set_conformance_checking(flags.get_bool("conformance", true));
 }
 
+/// The exit code of a bench main that ran to completion: 2, with each key
+/// named on stderr, when a given `--key` was never read (a mistyped or
+/// retired option must not pass unnoticed), else 0. Call as the last
+/// statement of every bench main().
+[[nodiscard]] inline int finish(const Flags& flags) {
+  const std::vector<std::string> unread = flags.unread();
+  for (const std::string& key : unread) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
+  }
+  return unread.empty() ? 0 : 2;
+}
+
 /// Sweep-layer wiring shared by the budget-driven benches: sizes and resets
 /// the global instance cache and selects the instance stream:
 ///   --cache_mb=N    instance cache byte budget     (default 256 MiB)

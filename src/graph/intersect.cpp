@@ -19,7 +19,7 @@ namespace tft::kernel {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar reference implementations (always compiled; the identity anchor).
+// Scalar bodies (always compiled; the table on hosts without AVX2).
 // ---------------------------------------------------------------------------
 
 /// lower_bound with an exponential (galloping) probe from `first`: O(log gap)
@@ -102,17 +102,6 @@ bool merge_find_scalar(std::span<const Vertex> a, std::span<const Vertex> b, Acc
                        void* ctx, Vertex* out) {
   return merge_find_range(a.data(), a.data() + a.size(), b.data(), b.data() + b.size(), accept,
                           ctx, out);
-}
-
-std::uint64_t marks_count_scalar(const std::uint8_t* marks, const Vertex* b, std::size_t len) {
-  const Vertex* const end = b + len;
-  std::uint64_t hits = 0;
-  // 4-wide unroll: independent byte loads, no mispredicting merge branch.
-  for (; b + 4 <= end; b += 4) {
-    hits += static_cast<std::uint64_t>(marks[b[0]]) + marks[b[1]] + marks[b[2]] + marks[b[3]];
-  }
-  for (; b != end; ++b) hits += marks[*b];
-  return hits;
 }
 
 std::uint64_t bitmap_count_scalar(const std::uint32_t* bits, const Vertex* b, std::size_t len,
@@ -233,30 +222,6 @@ __attribute__((target("avx2"))) bool merge_find_avx2(std::span<const Vertex> a,
   return merge_find_range(pa, ea, pb, eb, accept, ctx, out);
 }
 
-__attribute__((target("avx2"))) std::uint64_t marks_count_avx2(const std::uint8_t* marks,
-                                                               const Vertex* b,
-                                                               std::size_t len) {
-  const __m256i byte_mask = _mm256_set1_epi32(0xFF);
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    const __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // Byte gather: loads 4 bytes at marks + id (the +32 tail pad of
-    // mark_bytes() keeps the over-read in bounds), keep the low byte.
-    const __m256i g =
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(marks), idx, 1);
-    acc = _mm256_add_epi32(acc, _mm256_and_si256(g, byte_mask));
-  }
-  const __m128i lo = _mm256_castsi256_si128(acc);
-  const __m128i hi = _mm256_extracti128_si256(acc, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4E));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xB1));
-  std::uint64_t hits = static_cast<std::uint32_t>(_mm_cvtsi128_si32(s));
-  for (; i < len; ++i) hits += marks[b[i]];
-  return hits;
-}
-
 __attribute__((target("avx2"))) std::uint64_t bitmap_count_avx2(const std::uint32_t* bits,
                                                                 const Vertex* b,
                                                                 std::size_t len, Vertex base) {
@@ -324,66 +289,17 @@ __attribute__((target("avx2"))) bool bitmap_find_avx2(const std::uint32_t* bits,
 #endif  // TFT_HAVE_AVX2_IMPL
 
 // ---------------------------------------------------------------------------
-// Dispatch tables and variant selection.
+// Dispatch tables.
 // ---------------------------------------------------------------------------
 
-std::atomic<Variant> g_variant{Variant::kAuto};
-std::atomic<std::uint32_t> g_block_bits{0};
-
-constexpr Ops kScalarOps = {Variant::kScalar,  merge_count_scalar, merge_find_scalar,
-                            marks_count_scalar, bitmap_count_scalar, bitmap_find_scalar};
-constexpr Ops kBitsetScalarOps = {Variant::kBitset,  merge_count_scalar, merge_find_scalar,
-                                  marks_count_scalar, bitmap_count_scalar, bitmap_find_scalar};
+constexpr Ops kScalarOps = {merge_count_scalar, merge_find_scalar, bitmap_count_scalar,
+                            bitmap_find_scalar};
 #if defined(TFT_HAVE_AVX2_IMPL)
-constexpr Ops kAvx2Ops = {Variant::kAvx2,  merge_count_avx2, merge_find_avx2,
-                          marks_count_avx2, bitmap_count_avx2, bitmap_find_avx2};
-constexpr Ops kBitsetSimdOps = {Variant::kBitset, merge_count_avx2, merge_find_avx2,
-                                marks_count_avx2, bitmap_count_avx2, bitmap_find_avx2};
+constexpr Ops kAvx2Ops = {merge_count_avx2, merge_find_avx2, bitmap_count_avx2,
+                          bitmap_find_avx2};
 #endif
 
-Variant resolve(Variant v) noexcept {
-  switch (v) {
-    case Variant::kScalar:
-      return Variant::kScalar;
-    case Variant::kAvx2:
-      return avx2_available() ? Variant::kAvx2 : Variant::kScalar;
-    case Variant::kBitset:
-      return Variant::kBitset;
-    case Variant::kAuto:
-    default:
-      return avx2_available() ? Variant::kBitset : Variant::kScalar;
-  }
-}
-
 }  // namespace
-
-void set_variant(Variant v) noexcept { g_variant.store(v, std::memory_order_relaxed); }
-
-Variant variant() noexcept { return g_variant.load(std::memory_order_relaxed); }
-
-Variant resolved_variant() noexcept { return resolve(variant()); }
-
-const char* to_string(Variant v) noexcept {
-  switch (v) {
-    case Variant::kAuto:
-      return "auto";
-    case Variant::kScalar:
-      return "scalar";
-    case Variant::kAvx2:
-      return "avx2";
-    case Variant::kBitset:
-      return "bitset";
-  }
-  return "?";
-}
-
-std::optional<Variant> variant_from_name(std::string_view name) noexcept {
-  if (name == "auto") return Variant::kAuto;
-  if (name == "scalar") return Variant::kScalar;
-  if (name == "avx2") return Variant::kAvx2;
-  if (name == "bitset") return Variant::kBitset;
-  return std::nullopt;
-}
 
 bool avx2_available() noexcept {
 #if defined(TFT_HAVE_AVX2_IMPL)
@@ -393,27 +309,14 @@ bool avx2_available() noexcept {
 #endif
 }
 
-const Ops& ops_for(Variant v) noexcept {
-  switch (resolve(v)) {
-    case Variant::kScalar:
-      return kScalarOps;
+const Ops& ops() noexcept {
 #if defined(TFT_HAVE_AVX2_IMPL)
-    case Variant::kAvx2:
-      return kAvx2Ops;
-    case Variant::kBitset:
-      return avx2_available() ? kBitsetSimdOps : kBitsetScalarOps;
-#else
-    case Variant::kAvx2:
-      return kScalarOps;
-    case Variant::kBitset:
-      return kBitsetScalarOps;
+  if (avx2_available()) return kAvx2Ops;
 #endif
-    default:
-      return kScalarOps;
-  }
+  return kScalarOps;
 }
 
-const Ops& ops() noexcept { return ops_for(variant()); }
+const Ops& scalar_ops() noexcept { return kScalarOps; }
 
 // ---------------------------------------------------------------------------
 // Thread-local mark scratch with cap-and-reallocate.
@@ -425,51 +328,34 @@ constexpr std::size_t kDefaultRetainBytes = std::size_t{8} << 20;  // 8 MiB
 
 std::atomic<std::size_t> g_retain_bytes{kDefaultRetainBytes};
 
-struct Scratch {
-  std::vector<std::uint8_t> bytes;   // byte marks, +32 gather pad
-  std::vector<std::uint32_t> words;  // bitmap words, +1 guard word
-};
-
-Scratch& scratch() noexcept {
-  thread_local Scratch s;
-  return s;
-}
-
-/// Cap-and-reallocate: drop the buffer when its capacity exceeds both the
-/// request and the retain threshold, so a one-off huge-n call doesn't pin
-/// its scratch for the life of the thread.
-template <typename T>
-void fit(std::vector<T>& buf, std::size_t need_elems, std::size_t retain_bytes) {
-  if (buf.capacity() * sizeof(T) > std::max(need_elems * sizeof(T), retain_bytes)) {
-    std::vector<T>().swap(buf);
-  }
-  if (buf.size() < need_elems) buf.assign(need_elems, T{0});
+/// Bitmap words, +1 guard word.
+std::vector<std::uint32_t>& scratch() noexcept {
+  thread_local std::vector<std::uint32_t> words;
+  return words;
 }
 
 }  // namespace
 
-std::uint8_t* mark_bytes(std::size_t n) {
-  auto& s = scratch();
-  fit(s.bytes, n + 32, g_retain_bytes.load(std::memory_order_relaxed));
-  return s.bytes.data();
-}
-
 std::uint32_t* mark_bits(std::size_t nbits) {
-  auto& s = scratch();
-  fit(s.words, (nbits >> 5) + 2, g_retain_bytes.load(std::memory_order_relaxed));
-  return s.words.data();
+  auto& words = scratch();
+  const std::size_t need = (nbits >> 5) + 2;
+  // Cap-and-reallocate: drop the buffer when its capacity exceeds both the
+  // request and the retain threshold, so a one-off huge-n call doesn't pin
+  // its scratch for the life of the thread.
+  const std::size_t retain = g_retain_bytes.load(std::memory_order_relaxed);
+  if (words.capacity() * sizeof(std::uint32_t) >
+      std::max(need * sizeof(std::uint32_t), retain)) {
+    std::vector<std::uint32_t>().swap(words);
+  }
+  if (words.size() < need) words.assign(need, 0);
+  return words.data();
 }
 
 std::size_t thread_scratch_bytes() noexcept {
-  const auto& s = scratch();
-  return s.bytes.capacity() + s.words.capacity() * sizeof(std::uint32_t);
+  return scratch().capacity() * sizeof(std::uint32_t);
 }
 
-void release_thread_scratch() noexcept {
-  auto& s = scratch();
-  std::vector<std::uint8_t>().swap(s.bytes);
-  std::vector<std::uint32_t>().swap(s.words);
-}
+void release_thread_scratch() noexcept { std::vector<std::uint32_t>().swap(scratch()); }
 
 void set_scratch_retain_bytes(std::size_t bytes) noexcept {
   g_retain_bytes.store(bytes, std::memory_order_relaxed);
@@ -482,6 +368,12 @@ std::size_t scratch_retain_bytes() noexcept {
 // ---------------------------------------------------------------------------
 // Blocking knob and CSR width guard.
 // ---------------------------------------------------------------------------
+
+namespace {
+
+std::atomic<std::uint32_t> g_block_bits{0};
+
+}  // namespace
 
 void set_block_bits(std::uint32_t bits) noexcept {
   g_block_bits.store(bits, std::memory_order_relaxed);

@@ -12,7 +12,6 @@ namespace tft {
 namespace {
 
 using kernel::Ops;
-using kernel::Variant;
 
 /// Out-neighbors of each vertex under degree orientation (edge points from
 /// lower to higher (degree, id) rank), as a flat CSR: one offsets array and
@@ -29,17 +28,23 @@ struct OrientedCsr {
   }
 };
 
-/// Orientation build for the SIMD strategies. Same output as the reference
-/// passes below, arrived at faster: one sequentially-built (degree, id)
-/// rank key per vertex replaces the two offset loads behind g.degree(v)
-/// and makes the predicate a single branchless u64 compare; neighbor rank
-/// loads are prefetched a few iterations ahead (the rank array is bigger
-/// than L1 and the accesses are random); the fill pass stores through a
-/// cmov-selected pointer instead of a 50%-mispredicting branch. The rank
-/// scratch lives in a nested scope so it is released before the caller's
-/// kernel loops run.
-void orient_fast(const Graph& g, Arena& arena, OrientedCsr& csr) {
+/// Orientation build: one sequentially-built (degree, id) rank key per
+/// vertex replaces the two offset loads behind g.degree(v) and makes the
+/// predicate a single branchless u64 compare; neighbor rank loads are
+/// prefetched a few iterations ahead (the rank array is bigger than L1 and
+/// the accesses are random); the fill pass stores through a cmov-selected
+/// pointer instead of a 50%-mispredicting branch. Count pass (parallel,
+/// disjoint writes), serial prefix sum, fill pass (parallel: each worker
+/// writes only its own rows' ranges). The rank scratch lives in a nested
+/// scope so it is released before the caller's kernel loops run.
+OrientedCsr orient(const Graph& g, Arena& arena) {
+  // offsets are 32-bit: refuse inputs that would silently wrap them.
+  kernel::require_csr_offsets_fit(g.num_edges());
   const std::size_t n = g.n();
+  OrientedCsr csr;
+  csr.offsets = arena.alloc<std::uint32_t>(n + 1);
+  csr.cols = arena.alloc<Vertex>(g.num_edges());
+  csr.offsets[0] = 0;  // the count pass below writes indices 1..n
   ArenaScope scope(arena);
   const std::span<std::uint64_t> rank = scope.arena().alloc<std::uint64_t>(n);
   parallel_for(n, [&](std::size_t v) {
@@ -74,46 +79,10 @@ void orient_fast(const Graph& g, Arena& arena, OrientedCsr& csr) {
       w += keep ? 1u : 0u;
     }
   });
-}
-
-OrientedCsr orient(const Graph& g, Arena& arena) {
-  // offsets are 32-bit: refuse inputs that would silently wrap them.
-  kernel::require_csr_offsets_fit(g.num_edges());
-  const std::size_t n = g.n();
-  OrientedCsr csr;
-  csr.offsets = arena.alloc<std::uint32_t>(n + 1);
-  csr.cols = arena.alloc<Vertex>(g.num_edges());
-  csr.offsets[0] = 0;  // the count pass below writes indices 1..n
-  if (kernel::resolved_variant() != Variant::kScalar) {
-    orient_fast(g, arena, csr);
-    return csr;
-  }
-  const auto lower = [&g](Vertex a, Vertex b) {
-    const auto da = g.degree(a);
-    const auto db = g.degree(b);
-    return da != db ? da < db : a < b;
-  };
-  // Count pass (parallel, disjoint writes), serial prefix sum, fill pass
-  // (parallel: each worker writes only its own rows' ranges). This is the
-  // pre-PR build, kept verbatim as the kScalar reference.
-  parallel_for(n, [&](std::size_t u) {
-    std::uint32_t out = 0;
-    for (const Vertex v : g.neighbors(static_cast<Vertex>(u))) {
-      out += lower(static_cast<Vertex>(u), v) ? 1u : 0u;
-    }
-    csr.offsets[u + 1] = out;
-  });
-  for (std::size_t u = 0; u < n; ++u) csr.offsets[u + 1] += csr.offsets[u];
-  parallel_for(n, [&](std::size_t u) {
-    std::uint32_t w = csr.offsets[u];
-    for (const Vertex v : g.neighbors(static_cast<Vertex>(u))) {
-      if (lower(static_cast<Vertex>(u), v)) csr.cols[w++] = v;
-    }
-  });
   return csr;
 }
 
-/// Rows at least this long take the mark/bitmap path in count_triangles;
+/// Rows at least this long take the bitmap path in count_triangles;
 /// shorter rows use the merge (marking cost would dominate).
 constexpr std::size_t kMarkThreshold = 8;
 
@@ -122,16 +91,10 @@ constexpr std::size_t kMarkThreshold = 8;
 /// see greedy_triangle_packing); otherwise the merge wins.
 constexpr std::size_t kPackBitmapThreshold = 32;
 
-/// AVX2 byte-mark gathers index with signed 32-bit lanes; ids must stay
-/// below 2^31 (the bitmap path shifts word indices and has no such limit).
-constexpr std::uint64_t kGatherIdLimit = std::uint64_t{1} << 31;
-
 /// Request every cache line of a row ahead of use. The candidate rows the
 /// kernels scan are scattered over the whole CSR (tens of MB at bench
 /// scale), so the hot loops are DRAM-latency-bound; a lookahead prefetch
-/// overlaps those misses with current work. Only the SIMD strategies issue
-/// prefetches — kScalar stays byte-for-byte the pre-PR kernel so the A/B
-/// bench and the pinned baseline rows keep a stable reference.
+/// overlaps those misses with current work.
 inline void prefetch_row(const Vertex* p, std::size_t count) noexcept {
   const auto* c = reinterpret_cast<const char*>(p);
   const auto* end = reinterpret_cast<const char*>(p + count);
@@ -149,7 +112,7 @@ inline void clear_bit(std::uint32_t* bits, Vertex w) noexcept {
   bits[w >> 5] &= ~(std::uint32_t{1} << (w & 31));
 }
 
-/// Column-tiling decision for the bitset count path. Auto mode blocks only
+/// Column-tiling decision for the bitmap count path. Auto mode blocks only
 /// when the full bitmap would blow past L2 (~1 MiB at n = 2^23), tiling in
 /// 2^22-vertex slices (512 KiB) so the hot slice stays resident;
 /// kernel::set_block_bits forces a width for tests.
@@ -169,7 +132,7 @@ BlockPlan block_plan(std::size_t n) {
   return {};
 }
 
-/// Count contributions of one long-row vertex u via the blocked bitset path:
+/// Count contributions of one long-row vertex u via the blocked bitmap path:
 /// for each column tile [lo, hi), mark u's out-neighbors falling in the tile
 /// into a slice-local bitmap and advance a per-v cursor over each N+(v),
 /// counting set bits. Cursors are monotone (tiles ascend), so the total work
@@ -220,22 +183,15 @@ std::uint64_t count_triangles(const Graph& g) {
   ArenaScope scope;
   const OrientedCsr out = orient(g, scope.arena());
   const Ops& ops = kernel::ops();
-  const bool bitset = ops.strategy == Variant::kBitset;
-  const BlockPlan plan = bitset ? block_plan(g.n()) : BlockPlan{};
-  // The byte-mark gather path needs ids < 2^31; beyond that, probe scalar.
-  auto* const marks_count =
-      g.n() < kGatherIdLimit ? ops.marks_count : kernel::ops_for(Variant::kScalar).marks_count;
-  const bool prefetch = ops.strategy != Variant::kScalar;
+  const BlockPlan plan = block_plan(g.n());
   // Integer sums are order-independent, and parallel_reduce folds chunk
   // partials in chunk order anyway, so the count is exact and identical at
-  // any thread count — and across every kernel variant.
+  // any thread count — and on either primitive table.
   return parallel_reduce(
       g.n(), std::uint64_t{0},
       [&](std::size_t begin, std::size_t end) {
         std::uint64_t total = 0;
-        std::uint8_t* const marks = bitset ? nullptr : kernel::mark_bytes(g.n());
-        std::uint32_t* const bits =
-            bitset ? kernel::mark_bits(plan.blocked ? plan.span : g.n()) : nullptr;
+        std::uint32_t* const bits = kernel::mark_bits(plan.blocked ? plan.span : g.n());
         for (std::size_t u = begin; u < end; ++u) {
           const auto row_u = out.row(static_cast<Vertex>(u));
           if (row_u.size() < 2) continue;
@@ -243,40 +199,26 @@ std::uint64_t count_triangles(const Graph& g) {
             for (const Vertex v : row_u) total += ops.merge_count(row_u, out.row(v));
             continue;
           }
-          if (!bitset) {
-            // Mark N+(u) once, then scan each N+(v) against the marks: a
-            // branch-free byte probe per candidate instead of a
-            // mispredicting merge step.
-            for (const Vertex w : row_u) marks[w] = 1;
-            for (std::size_t j = 0; j < row_u.size(); ++j) {
-              if (prefetch && j + kPrefetchDist < row_u.size()) {
-                const Vertex pv = row_u[j + kPrefetchDist];
-                prefetch_row(out.cols.data() + out.offsets[pv],
-                             out.offsets[pv + 1] - out.offsets[pv]);
-              }
-              const Vertex v = row_u[j];
-              total += marks_count(marks, out.cols.data() + out.offsets[v],
-                                   out.offsets[v + 1] - out.offsets[v]);
-            }
-            for (const Vertex w : row_u) marks[w] = 0;
-          } else if (plan.blocked) {
+          if (plan.blocked) {
             total += count_blocked(out, row_u, bits, plan, g.n(), ops);
-          } else {
-            // Bit-packed marks: 1 bit/vertex keeps the whole mark set
-            // L1-resident at n = 1e5 (12.5 KB vs 100 KB of bytes).
-            for (const Vertex w : row_u) set_bit(bits, w);
-            for (std::size_t j = 0; j < row_u.size(); ++j) {
-              if (j + kPrefetchDist < row_u.size()) {
-                const Vertex pv = row_u[j + kPrefetchDist];
-                prefetch_row(out.cols.data() + out.offsets[pv],
-                             out.offsets[pv + 1] - out.offsets[pv]);
-              }
-              const Vertex v = row_u[j];
-              total += ops.bitmap_count(bits, out.cols.data() + out.offsets[v],
-                                        out.offsets[v + 1] - out.offsets[v], 0);
-            }
-            for (const Vertex w : row_u) clear_bit(bits, w);
+            continue;
           }
+          // Mark N+(u) once in a bit-packed row (1 bit/vertex keeps the whole
+          // mark set L1-resident at n = 1e5: 12.5 KB), then probe each N+(v)
+          // against it: a branch-free bit test per candidate instead of a
+          // mispredicting merge step.
+          for (const Vertex w : row_u) set_bit(bits, w);
+          for (std::size_t j = 0; j < row_u.size(); ++j) {
+            if (j + kPrefetchDist < row_u.size()) {
+              const Vertex pv = row_u[j + kPrefetchDist];
+              prefetch_row(out.cols.data() + out.offsets[pv],
+                           out.offsets[pv + 1] - out.offsets[pv]);
+            }
+            const Vertex v = row_u[j];
+            total += ops.bitmap_count(bits, out.cols.data() + out.offsets[v],
+                                      out.offsets[v + 1] - out.offsets[v], 0);
+          }
+          for (const Vertex w : row_u) clear_bit(bits, w);
         }
         return total;
       },
@@ -286,9 +228,9 @@ std::uint64_t count_triangles(const Graph& g) {
 std::optional<Triangle> find_triangle(const Graph& g) {
   // Serial: on triangle-rich inputs this exits almost immediately, and the
   // callers that need "some triangle" (referees, tests) want the cheap
-  // first hit, not a parallel sweep. Never blocked: every variant visits
-  // common neighbors in (v-in-row-order, w-ascending) order, so the
-  // reported triangle is identical across scalar/AVX2/bitset.
+  // first hit, not a parallel sweep. Never blocked: both primitive tables
+  // visit common neighbors in (v-in-row-order, w-ascending) order, so the
+  // reported triangle is identical on every host.
   ArenaScope scope;
   const OrientedCsr out = orient(g, scope.arena());
   const Ops& ops = kernel::ops();
@@ -355,7 +297,7 @@ class EdgeBitmap {
 /// Candidate filter for the packing search: accept the first common
 /// neighbor w whose closing edges are both unused. Shared by the merge and
 /// bitmap probes, which visit the same candidates in the same (ascending)
-/// order — packings are identical across variants.
+/// order — packings are identical whichever probe a pair takes.
 struct PackCtx {
   const EdgeIndex* index;
   const EdgeBitmap* used;
@@ -392,28 +334,24 @@ std::vector<Triangle> greedy_triangle_packing(const Graph& g, Rng& rng) {
   const EdgeIndex index(g);
   EdgeBitmap used(m);
   const Ops& ops = kernel::ops();
-  const bool bitset = ops.strategy == Variant::kBitset;
-  std::uint32_t* const bits = bitset ? kernel::mark_bits(g.n()) : nullptr;
+  std::uint32_t* const bits = kernel::mark_bits(g.n());
 
   // The shuffled edge order makes every iteration's row fetches a fresh
   // DRAM miss; a two-level lookahead (edge struct first, then its rows)
-  // keeps several misses in flight. kScalar runs the pre-PR loop untouched.
-  const bool prefetch = ops.strategy != Variant::kScalar;
+  // keeps several misses in flight.
   std::vector<Triangle> packing;
   for (std::size_t i = 0; i < m; ++i) {
-    if (prefetch) {
-      if (i + 2 * kPackPrefetchDist < m) {
-        const std::uint32_t pidx = order[i + 2 * kPackPrefetchDist];
-        __builtin_prefetch(&g.edge(pidx), 0, 3);
-        used.prefetch(pidx);
-      }
-      if (i + kPackPrefetchDist < m) {
-        const Edge pe = g.edge(order[i + kPackPrefetchDist]);
-        const auto pnu = g.neighbors(pe.u);
-        const auto pnv = g.neighbors(pe.v);
-        prefetch_row(pnu.data(), pnu.size());
-        prefetch_row(pnv.data(), pnv.size());
-      }
+    if (i + 2 * kPackPrefetchDist < m) {
+      const std::uint32_t pidx = order[i + 2 * kPackPrefetchDist];
+      __builtin_prefetch(&g.edge(pidx), 0, 3);
+      used.prefetch(pidx);
+    }
+    if (i + kPackPrefetchDist < m) {
+      const Edge pe = g.edge(order[i + kPackPrefetchDist]);
+      const auto pnu = g.neighbors(pe.u);
+      const auto pnv = g.neighbors(pe.v);
+      prefetch_row(pnu.data(), pnu.size());
+      prefetch_row(pnv.data(), pnv.size());
     }
     const std::uint32_t idx = order[i];
     if (used.test(idx)) continue;
@@ -432,8 +370,7 @@ std::vector<Triangle> greedy_triangle_packing(const Graph& g, Rng& rng) {
     // rows the 8-wide block merge beats per-candidate bitmap gathers. Both
     // paths visit commons in the same ascending order, so the packing is
     // identical either way.
-    if (bitset && shorter.size() >= kPackBitmapThreshold &&
-        longer.size() >= 8 * shorter.size()) {
+    if (shorter.size() >= kPackBitmapThreshold && longer.size() >= 8 * shorter.size()) {
       for (const Vertex x : shorter) set_bit(bits, x);
       found = ops.bitmap_find(bits, longer.data(), longer.size(), pack_accept, &ctx, &w);
       for (const Vertex x : shorter) clear_bit(bits, x);

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
@@ -19,24 +22,20 @@
 namespace tft {
 namespace {
 
-using kernel::Variant;
-
-/// Restore the process-global kernel knobs on scope exit so a test that
-/// forces a variant/blocking/retain setting can't leak into its neighbors.
+/// Restore the process-global kernel test seams on scope exit so a test
+/// that forces a blocking/retain setting can't leak into its neighbors.
 struct KernelKnobGuard {
-  Variant variant = kernel::variant();
   std::uint32_t block_bits = kernel::block_bits();
   std::size_t retain = kernel::scratch_retain_bytes();
   ~KernelKnobGuard() {
-    kernel::set_variant(variant);
     kernel::set_block_bits(block_bits);
     kernel::set_scratch_retain_bytes(retain);
   }
 };
 
-std::vector<Variant> all_variants() {
-  return {Variant::kScalar, Variant::kAvx2, Variant::kBitset, Variant::kAuto};
-}
+/// Both primitive tables: the scalar bodies and the host's (the same table
+/// on a host without AVX2).
+std::vector<const kernel::Ops*> both_tables() { return {&kernel::scalar_ops(), &kernel::ops()}; }
 
 // --- Arena ----------------------------------------------------------------
 
@@ -173,28 +172,8 @@ TEST(Cpu, FeaturesAreStableAndConsistent) {
   EXPECT_EQ(kernel::avx2_available(), cpu::have_avx2());
 }
 
-TEST(KernelDispatch, VariantNamesRoundTrip) {
-  for (const Variant v : all_variants()) {
-    const auto parsed = kernel::variant_from_name(kernel::to_string(v));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, v);
-  }
-  EXPECT_FALSE(kernel::variant_from_name("sse9").has_value());
-}
-
-TEST(KernelDispatch, ResolutionNeverYieldsAutoAndRespectsHost) {
-  KernelKnobGuard guard;
-  for (const Variant v : all_variants()) {
-    kernel::set_variant(v);
-    const Variant r = kernel::resolved_variant();
-    EXPECT_NE(r, Variant::kAuto);
-    EXPECT_EQ(kernel::ops().strategy, r);
-    if (!kernel::avx2_available()) {
-      EXPECT_NE(r, Variant::kAvx2);
-    }
-  }
-  kernel::set_variant(Variant::kScalar);
-  EXPECT_EQ(kernel::resolved_variant(), Variant::kScalar);
+TEST(KernelDispatch, HostTableIsScalarExactlyWithoutAvx2) {
+  EXPECT_EQ(&kernel::ops() == &kernel::scalar_ops(), !kernel::avx2_available());
 }
 
 // --- Primitive-level identity against references --------------------------
@@ -224,17 +203,14 @@ TEST(IntersectPrimitives, AllVariantsMatchReferenceOnRandomSets) {
     const auto b = sorted_unique(rng, lb, universe);
     const auto expect = reference_commons(a, b);
 
-    // Byte marks / bitmap of b's elements, probed with a's candidates.
-    std::uint8_t* marks = kernel::mark_bytes(universe);
+    // Bitmap of b's elements, probed with a's candidates.
     std::uint32_t* bits = kernel::mark_bits(universe);
-    for (const Vertex x : b) marks[x] = 1;
     for (const Vertex x : b) bits[x >> 5] |= 1u << (x & 31);
 
-    for (const Variant v : all_variants()) {
-      const kernel::Ops& ops = kernel::ops_for(v);
+    for (const kernel::Ops* table : both_tables()) {
+      const kernel::Ops& ops = *table;
       EXPECT_EQ(ops.merge_count(a, b), expect.size());
       EXPECT_EQ(ops.merge_count(b, a), expect.size());
-      EXPECT_EQ(ops.marks_count(marks, a.data(), a.size()), expect.size());
       EXPECT_EQ(ops.bitmap_count(bits, a.data(), a.size(), 0), expect.size());
 
       // find: visiting order must be the ascending commons, exactly.
@@ -260,7 +236,6 @@ TEST(IntersectPrimitives, AllVariantsMatchReferenceOnRandomSets) {
       }
     }
 
-    for (const Vertex x : b) marks[x] = 0;
     for (const Vertex x : b) bits[x >> 5] &= ~(1u << (x & 31));
   }
 }
@@ -279,8 +254,8 @@ TEST(IntersectPrimitives, BitmapCountHonorsBase) {
       bits[(w - base) >> 5] |= 1u << ((w - base) & 31);
     }
   }
-  for (const Variant v : all_variants()) {
-    EXPECT_EQ(kernel::ops_for(v).bitmap_count(bits, candidates.data(), candidates.size(), base),
+  for (const kernel::Ops* table : both_tables()) {
+    EXPECT_EQ(table->bitmap_count(bits, candidates.data(), candidates.size(), base),
               marked.size());
   }
   for (const Vertex w : marked) bits[(w - base) >> 5] &= ~(1u << ((w - base) & 31));
@@ -290,20 +265,19 @@ TEST(IntersectPrimitives, EmptyAndDisjointInputs) {
   const std::vector<Vertex> none;
   const std::vector<Vertex> some = {1, 5, 9, 12, 40, 41, 42, 43, 44, 45};
   const std::vector<Vertex> other = {0, 2, 6, 10, 13, 50, 51, 52, 53, 54};
-  for (const Variant v : all_variants()) {
-    const kernel::Ops& ops = kernel::ops_for(v);
+  for (const kernel::Ops* table : both_tables()) {
+    const kernel::Ops& ops = *table;
     Vertex w = 0;
     EXPECT_EQ(ops.merge_count(none, none), 0u);
     EXPECT_EQ(ops.merge_count(none, some), 0u);
     EXPECT_EQ(ops.merge_count(some, other), 0u);
     EXPECT_FALSE(ops.merge_find(none, some, nullptr, nullptr, &w));
     EXPECT_FALSE(ops.merge_find(some, other, nullptr, nullptr, &w));
-    EXPECT_EQ(ops.marks_count(kernel::mark_bytes(64), some.data(), some.size()), 0u);
     EXPECT_EQ(ops.bitmap_count(kernel::mark_bits(64), some.data(), some.size(), 0), 0u);
   }
 }
 
-// --- Degenerate graphs through every dispatch variant ---------------------
+// --- Degenerate graphs and outputs frozen from the seed kernels ----------
 
 std::uint64_t brute_count(const Graph& g) {
   std::uint64_t c = 0;
@@ -315,9 +289,8 @@ std::uint64_t brute_count(const Graph& g) {
   return c / 3;
 }
 
-TEST(KernelDegenerate, EveryVariantHandlesEdgeCaseGraphs) {
-  KernelKnobGuard guard;
-  const std::vector<Graph> graphs = {
+std::vector<Graph> edge_case_graphs() {
+  return {
       Graph(0, {}),                     // n = 0
       Graph(1, {}),                     // single isolated vertex
       Graph(64, {}),                    // all-isolated
@@ -336,62 +309,127 @@ TEST(KernelDegenerate, EveryVariantHandlesEdgeCaseGraphs) {
         return Graph(16, std::move(e));
       }(),
   };
-  for (const Graph& g : graphs) {
+}
+
+TEST(KernelDegenerate, EveryVariantHandlesEdgeCaseGraphs) {
+  for (const Graph& g : edge_case_graphs()) {
     const std::uint64_t expect = brute_count(g);
-    for (const Variant v : all_variants()) {
-      kernel::set_variant(v);
-      EXPECT_EQ(count_triangles(g), expect) << "variant=" << kernel::to_string(v);
-      const auto t = find_triangle(g);
-      EXPECT_EQ(t.has_value(), expect > 0) << "variant=" << kernel::to_string(v);
-      if (t) {
-        EXPECT_TRUE(g.contains(*t));
-      }
-      Rng rng(99);
-      const auto packing = greedy_triangle_packing(g, rng);
-      if (expect == 0) {
-        EXPECT_TRUE(packing.empty());
-      }
-      for (const Triangle& tri : packing) EXPECT_TRUE(g.contains(tri));
+    EXPECT_EQ(count_triangles(g), expect);
+    const auto t = find_triangle(g);
+    EXPECT_EQ(t.has_value(), expect > 0);
+    if (t) {
+      EXPECT_TRUE(g.contains(*t));
+    }
+    Rng rng(99);
+    const auto packing = greedy_triangle_packing(g, rng);
+    if (expect == 0) {
+      EXPECT_TRUE(packing.empty());
+    }
+    for (const Triangle& tri : packing) EXPECT_TRUE(g.contains(tri));
+  }
+}
+
+/// Order-sensitive FNV-1a over a packing's (a, b, c) sequence.
+std::uint64_t packing_hash(const std::vector<Triangle>& packing) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Triangle& t : packing) {
+    for (const Vertex x : {t.a, t.b, t.c}) {
+      h ^= x;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+/// Pairs the packing probes through the bitmap: the shorter row has at
+/// least 32 entries and the longer one is at least 8x as long.
+std::size_t skewed_pairs(const Graph& g) {
+  std::size_t pairs = 0;
+  for (const Edge& e : g.edges()) {
+    const std::size_t du = g.degree(e.u);
+    const std::size_t dv = g.degree(e.v);
+    if (std::min(du, dv) >= 32 && std::max(du, dv) >= 8 * std::min(du, dv)) ++pairs;
+  }
+  return pairs;
+}
+
+struct FrozenOutputs {
+  const char* name;
+  Graph graph;
+  std::uint64_t triangles;
+  std::optional<Triangle> found;
+  std::size_t packing;
+  std::uint64_t hash;  ///< packing_hash of greedy_triangle_packing with Rng(7)
+};
+
+/// Count, found triangle and packing (size and order) of the bench_kernels
+/// families at n = 2000 (gnp) and n = 2e4 (the rest), then the edge-case
+/// graphs above. Recorded from the seed's scalar kernels, which agreed with
+/// the byte-mark, bitset and auto strategies on every graph before those
+/// strategies were folded into the one path every host runs now.
+std::vector<FrozenOutputs> frozen_outputs() {
+  const auto gnp = [] {
+    Rng rng(1);
+    return gen::gnp(2000, std::sqrt(2000.0) / 2000.0, rng);
+  };
+  const auto planted = [] {
+    Rng rng(2);
+    return gen::planted_triangles(20000, 2500, rng);
+  };
+  const auto hub = [] {
+    Rng rng(3);
+    return gen::hub_matching(5000, 4, rng);
+  };
+  const auto chung_lu = [] {
+    Rng rng(4);
+    return gen::chung_lu(10000, 12.0, 2.3, rng);
+  };
+  constexpr std::uint64_t kEmpty = 0xcbf29ce484222325ULL;  // packing_hash of no triangles
+  std::vector<FrozenOutputs> out = {
+      {"gnp", gnp(), 14742, Triangle(0, 331, 1382), 6411, 0xf9f27068e0039549ULL},
+      {"planted", planted(), 2500, Triangle(0, 1, 2), 2500, 0xa3e2c9ebd3b962f5ULL},
+      {"hub", hub(), 39968, Triangle(0, 4, 1385), 8339, 0xb9d44a8fbca109a6ULL},
+      {"chung_lu", chung_lu(), 103569, Triangle(0, 1, 2), 5867, 0xca55d12315adf6a5ULL},
+  };
+  const char* names[] = {"n0", "n1", "iso64", "star40", "cycle5", "k6_7", "k9", "two_triangles"};
+  const std::uint64_t triangles[] = {0, 0, 0, 0, 0, 0, 84, 2};
+  const std::size_t packings[] = {0, 0, 0, 0, 0, 0, 10, 2};
+  const std::uint64_t hashes[] = {kEmpty, kEmpty, kEmpty, kEmpty,
+                                  kEmpty, kEmpty, 0x9bd3e3718996ecaeULL, 0xa54ac5bf0ea60ddeULL};
+  std::vector<Graph> edge_cases = edge_case_graphs();
+  for (std::size_t i = 0; i < edge_cases.size(); ++i) {
+    const std::optional<Triangle> found =
+        triangles[i] > 0 ? std::optional<Triangle>(Triangle(0, 1, 2)) : std::nullopt;
+    out.push_back({names[i], std::move(edge_cases[i]), triangles[i], found, packings[i],
+                   hashes[i]});
+  }
+  return out;
+}
+
+TEST(KernelFrozen, OutputsMatchTheSeedKernels) {
+  for (const FrozenOutputs& f : frozen_outputs()) {
+    EXPECT_EQ(count_triangles(f.graph), f.triangles) << f.name;
+    EXPECT_EQ(find_triangle(f.graph), f.found) << f.name;
+    Rng rng(7);
+    const auto packing = greedy_triangle_packing(f.graph, rng);
+    EXPECT_EQ(packing.size(), f.packing) << f.name;
+    EXPECT_EQ(packing_hash(packing), f.hash) << f.name;
+  }
+}
+
+TEST(KernelFrozen, ChungLuHasPairsSkewedEnoughForTheBitmapProbe) {
+  // Of the frozen graphs only chung_lu has such pairs (660 of its packing
+  // searches take the bitmap probe), so its frozen packing is the literal
+  // that covers that branch.
+  for (const FrozenOutputs& f : frozen_outputs()) {
+    if (std::string(f.name) == "chung_lu") {
+      EXPECT_GT(skewed_pairs(f.graph), 0u);
     }
   }
 }
 
-// --- Cross-variant identity over the generator zoo ------------------------
-
-TEST(KernelVariantIdentity, CountFindPackingAgreeAcrossVariantsProperty) {
-  KernelKnobGuard guard;
-  const auto result = proptest::check(0x51D0, 40, [](const proptest::GraphCase& c) {
-    const Graph g = c.graph();
-    kernel::set_variant(Variant::kScalar);
-    const std::uint64_t count0 = count_triangles(g);
-    const auto find0 = find_triangle(g);
-    Rng r0(c.seed);
-    const auto pack0 = greedy_triangle_packing(g, r0);
-    for (const Variant v : {Variant::kAvx2, Variant::kBitset, Variant::kAuto}) {
-      kernel::set_variant(v);
-      if (count_triangles(g) != count0) {
-        return proptest::PropOutcome{false,
-                                     std::string("count diverged on ") + kernel::to_string(v)};
-      }
-      if (find_triangle(g) != find0) {
-        return proptest::PropOutcome{false,
-                                     std::string("find diverged on ") + kernel::to_string(v)};
-      }
-      Rng rv(c.seed);
-      if (greedy_triangle_packing(g, rv) != pack0) {
-        return proptest::PropOutcome{false,
-                                     std::string("packing diverged on ") + kernel::to_string(v)};
-      }
-    }
-    kernel::set_variant(Variant::kScalar);
-    return proptest::PropOutcome{};
-  });
-  EXPECT_TRUE(result.ok) << result.to_string();
-}
-
 TEST(KernelVariantIdentity, BlockedEqualsUnblockedProperty) {
   KernelKnobGuard guard;
-  kernel::set_variant(Variant::kBitset);
   const auto result = proptest::check(0xB10C, 30, [](const proptest::GraphCase& c) {
     const Graph g = c.graph();
     kernel::set_block_bits(0);
@@ -417,13 +455,13 @@ TEST(KernelVariantIdentity, BlockedEqualsUnblockedProperty) {
 TEST(KernelScratch, OneOffLargeCallDoesNotPinMemory) {
   KernelKnobGuard guard;
   kernel::release_thread_scratch();
-  kernel::set_scratch_retain_bytes(1 << 20);  // 1 MiB cap for the test
-  (void)kernel::mark_bytes(16u << 20);        // one-off "huge n" call
-  EXPECT_GE(kernel::thread_scratch_bytes(), 16u << 20);
+  kernel::set_scratch_retain_bytes(1 << 16);  // 64 KiB cap for the test
+  (void)kernel::mark_bits(64u << 20);         // one-off "huge n" call: 8 MiB of words
+  EXPECT_GE(kernel::thread_scratch_bytes(), 8u << 20);
   // The next small request must shrink the buffer back to its own size.
-  std::uint8_t* marks = kernel::mark_bytes(1000);
-  EXPECT_LT(kernel::thread_scratch_bytes(), 1u << 20);
-  for (std::size_t i = 0; i < 1000; ++i) EXPECT_EQ(marks[i], 0) << i;  // still zeroed
+  std::uint32_t* bits = kernel::mark_bits(1 << 10);
+  EXPECT_LT(kernel::thread_scratch_bytes(), 1u << 16);
+  for (std::size_t i = 0; i < (1u << 10) / 32; ++i) EXPECT_EQ(bits[i], 0u) << i;  // zeroed
   kernel::release_thread_scratch();
   EXPECT_EQ(kernel::thread_scratch_bytes(), 0u);
 }
@@ -432,22 +470,10 @@ TEST(KernelScratch, RetainedCapacityIsReusedBelowTheCap) {
   KernelKnobGuard guard;
   kernel::release_thread_scratch();
   kernel::set_scratch_retain_bytes(64 << 20);
-  (void)kernel::mark_bytes(1 << 20);
+  (void)kernel::mark_bits(8u << 20);  // 1 MiB of words
   const std::size_t held = kernel::thread_scratch_bytes();
-  (void)kernel::mark_bytes(1000);  // far smaller, but under the retain cap
+  (void)kernel::mark_bits(1000);  // far smaller, but under the retain cap
   EXPECT_EQ(kernel::thread_scratch_bytes(), held);
-  kernel::release_thread_scratch();
-}
-
-TEST(KernelScratch, BitmapScratchShrinksLikeBytes) {
-  KernelKnobGuard guard;
-  kernel::release_thread_scratch();
-  kernel::set_scratch_retain_bytes(1 << 16);
-  (void)kernel::mark_bits(64u << 20);  // 8 MiB of words
-  EXPECT_GE(kernel::thread_scratch_bytes(), 8u << 20);
-  std::uint32_t* bits = kernel::mark_bits(1 << 10);
-  EXPECT_LT(kernel::thread_scratch_bytes(), 1u << 16);
-  for (std::size_t i = 0; i < (1u << 10) / 32; ++i) EXPECT_EQ(bits[i], 0u);
   kernel::release_thread_scratch();
 }
 

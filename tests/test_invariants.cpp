@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <unordered_set>
 
 #include "core/building_blocks.h"
@@ -9,6 +10,7 @@
 #include "graph/generators.h"
 #include "graph/partition.h"
 #include "graph/triangles.h"
+#include "proptest.h"
 #include "util/rng.h"
 
 namespace tft {
@@ -16,33 +18,67 @@ namespace {
 
 /// Cross-cutting invariants not tied to a single module.
 
-TEST(Invariants, GreedyPackingIsMaximal) {
-  // After greedy packing, no triangle with all three edges unused remains —
-  // the property that makes it a 1/3-approximation and a valid distance
-  // bound.
-  Rng rng(1);
-  for (int trial = 0; trial < 5; ++trial) {
-    const Graph g = gen::gnp(120, 0.1, rng);
-    const auto packing = greedy_triangle_packing(g, rng);
-    std::unordered_set<std::uint64_t> used;
-    for (const Triangle& t : packing) {
-      used.insert(t.e1().key());
-      used.insert(t.e2().key());
-      used.insert(t.e3().key());
+/// The triangle-kernel checks that need no second implementation, or ""
+/// when they all hold: the greedy packing (drawn with `rng`) is edge-disjoint
+/// and maximal — no triangle with all three edges unused remains, the
+/// property that makes it a 1/3-approximation and a valid distance bound —
+/// count_triangles equals a brute-force enumeration, and find_triangle
+/// returns a real triangle exactly when the count is positive.
+std::string kernel_invariant_violation(const Graph& g, Rng& rng) {
+  const auto packing = greedy_triangle_packing(g, rng);
+  std::unordered_set<std::uint64_t> used;
+  for (const Triangle& t : packing) {
+    if (!g.contains(t)) return "packed a non-triangle";
+    for (const Edge& e : {t.e1(), t.e2(), t.e3()}) {
+      if (!used.insert(e.key()).second) return "packing reuses an edge";
     }
-    for (Vertex a = 0; a < g.n(); ++a) {
-      for (const Vertex b : g.neighbors(a)) {
-        if (b <= a) continue;
-        for (const Vertex c : g.neighbors(b)) {
-          if (c <= b || !g.has_edge(a, c)) continue;
-          const bool all_free = !used.contains(Edge(a, b).key()) &&
-                                !used.contains(Edge(b, c).key()) &&
-                                !used.contains(Edge(a, c).key());
-          EXPECT_FALSE(all_free) << "unpacked triangle " << a << "," << b << "," << c;
+  }
+  std::uint64_t brute = 0;
+  for (Vertex a = 0; a < g.n(); ++a) {
+    for (const Vertex b : g.neighbors(a)) {
+      if (b <= a) continue;
+      for (const Vertex c : g.neighbors(b)) {
+        if (c <= b || !g.has_edge(a, c)) continue;
+        ++brute;
+        if (!used.contains(Edge(a, b).key()) && !used.contains(Edge(b, c).key()) &&
+            !used.contains(Edge(a, c).key())) {
+          return "unpacked triangle " + std::to_string(a) + "," + std::to_string(b) + "," +
+                 std::to_string(c);
         }
       }
     }
   }
+  const std::uint64_t count = count_triangles(g);
+  if (count != brute) {
+    return "count_triangles " + std::to_string(count) + " != brute force " +
+           std::to_string(brute);
+  }
+  const auto found = find_triangle(g);
+  if (found.has_value() != (brute > 0)) return "find_triangle disagrees with the count";
+  if (found && !g.contains(*found)) return "find_triangle returned a non-triangle";
+  return "";
+}
+
+TEST(Invariants, GreedyPackingIsMaximal) {
+  Rng rng(1);
+  for (int trial = 0; trial < 5; ++trial) {
+    const Graph g = gen::gnp(120, 0.1, rng);
+    EXPECT_EQ(kernel_invariant_violation(g, rng), "");
+  }
+  // The skewed graph whose packing takes the bitmap probe (the frozen
+  // chung_lu in tests/test_intersect.cpp).
+  {
+    Rng gen_rng(4);
+    const Graph g = gen::chung_lu(10000, 12.0, 2.3, gen_rng);
+    Rng pack_rng(7);
+    EXPECT_EQ(kernel_invariant_violation(g, pack_rng), "");
+  }
+  const auto result = proptest::check(0x9AC4, 60, [](const proptest::GraphCase& c) {
+    Rng pack_rng(c.seed);
+    const std::string violation = kernel_invariant_violation(c.graph(), pack_rng);
+    return proptest::PropOutcome{violation.empty(), violation};
+  });
+  EXPECT_TRUE(result.ok) << result.to_string();
 }
 
 TEST(Invariants, RandomWalkStepIsUniformOverNeighbors) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/bits.h"
@@ -171,6 +173,32 @@ TEST(Flags, ParsesKeyValuePairs) {
   EXPECT_TRUE(flags.get_bool("verbose", false));
   EXPECT_EQ(flags.get_int("missing", 7), 7);
   EXPECT_FALSE(flags.has("missing"));
+  EXPECT_TRUE(flags.unread().empty());
+
+  // A value must parse completely, or the getter throws naming the key.
+  const char* bad[] = {"prog",        "--n=2e3",      "--x=12abc",  "--gamma=0.25x",
+                       "--chunked=on", "--ok=false",  "--big=99999999999999999999",
+                       "--kernal=scalar", "--seen"};
+  Flags strict(9, const_cast<char**>(bad));
+  const auto throws_naming = [](auto&& get, const std::string& key) {
+    try {
+      get();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what()).find("--" + key + "=") != std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(throws_naming([&] { (void)strict.get_int("n", 0); }, "n"));
+  EXPECT_TRUE(throws_naming([&] { (void)strict.get_int("x", 0); }, "x"));
+  EXPECT_TRUE(throws_naming([&] { (void)strict.get_int("big", 0); }, "big"));
+  EXPECT_TRUE(throws_naming([&] { (void)strict.get_double("gamma", 0.0); }, "gamma"));
+  EXPECT_TRUE(throws_naming([&] { (void)strict.get_bool("chunked", false); }, "chunked"));
+  EXPECT_DOUBLE_EQ(strict.get_double("n", 0.0), 2000.0);  // a float may use an exponent
+  EXPECT_FALSE(strict.get_bool("ok", true));
+  EXPECT_TRUE(strict.has("seen"));
+
+  // Keys no getter or `has` read are reported, in key order.
+  EXPECT_EQ(strict.unread(), std::vector<std::string>{"kernal"});
 }
 
 }  // namespace
